@@ -15,8 +15,10 @@ test:
 	$(GO) test ./...
 
 # Race coverage on the packages with concurrency-sensitive state
-# (fault injection, cache core, array repair paths) plus the harness's
-# parallel fan-out runner and its determinism tests.
+# (fault injection, cache core, array repair paths), the harness's
+# parallel fan-out runner and its determinism tests, and the
+# fault-injection package (crash checker and chaos harness, whose
+# schedules fan out across workers).
 race:
 	$(GO) test -race ./internal/blockdev/ ./internal/core/ ./internal/raid/
 	$(GO) test -race -run 'FanOut|Deterministic|ParallelismKnob' ./internal/harness/
@@ -30,13 +32,13 @@ chaos:
 # Whole-SSD failover chaos plans (fail-stop kill, kill mid-clean, breaker
 # storm, reattach-then-rekill) under the race detector.
 chaos-ssd:
-	$(GO) test -race -run 'TestChaosSSD' ./internal/harness/
+	$(GO) test -race -run 'TestChaosSSD' ./internal/check/
 
 # Rebuild-window chaos plans (member kill with a hot spare, power losses
 # inside the rebuild window, second member kill mid-window on RAID-6)
 # under the race detector.
 chaos-rebuild:
-	$(GO) test -race -run 'TestChaosRebuild' ./internal/harness/
+	$(GO) test -race -run 'TestChaosRebuild' ./internal/check/
 
 # Model-based crash-consistency checker, deterministic CI mode: every
 # crash point and media-fault site enumerated from the profile trace is
@@ -91,14 +93,15 @@ qos-test:
 	$(GO) test -race -parallel 1 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
 	$(GO) test -race -parallel 4 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
 	$(GO) test -race -parallel 16 -count=1 -run 'TestDeterministicNoisy' ./internal/harness/
-	$(GO) test -race -run 'TestNoisyNeighborIsolation|TestChaosLaneKill' ./internal/harness/
+	$(GO) test -race -run 'TestNoisyNeighborIsolation' ./internal/harness/
+	$(GO) test -race -run 'TestChaosLaneKill' ./internal/check/
 
 # Log-structured backend battery: lsraid unit and property tests (GC
 # liveness, crash+replay over every enumerated torn-write site, segment
 # accounting), the kdd-vs-lsraid differential trace battery at FanOut
 # widths 1/4/16 (byte-identical reads, equal engine digests at flush
-# barriers), and the checker's full crash-site sweep on the lsraid
-# backend — all under the race detector.
+# barriers), and the checker's full crash-site sweeps (single-core and
+# sharded) on the lsraid backend — all under the race detector.
 lsraid-test:
 	$(GO) test -race ./internal/lsraid/
 	$(GO) test -race -run 'TestDifferentialBackends' -timeout 20m ./internal/harness/

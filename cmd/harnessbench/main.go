@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"time"
 
+	"kddcache/internal/check"
 	"kddcache/internal/harness"
 )
 
@@ -156,13 +157,13 @@ func main() {
 			return harness.Fig5(*scale)
 		}},
 		{"chaos", func(par int) (string, error) {
-			r := harness.Chaos(harness.ChaosOpts{
+			r := check.Chaos(check.ChaosOpts{
 				Schedules: *schedules, Ops: *ops, Parallel: par,
 			})
 			return r.Table(), nil
 		}},
 		{"chaos-rebuild", func(par int) (string, error) {
-			r := harness.Chaos(harness.ChaosOpts{
+			r := check.Chaos(check.ChaosOpts{
 				Schedules: *schedules, Ops: *ops, Parallel: par,
 				Kind: "disk-kill,rebuild-crash,double-kill",
 			})

@@ -4,7 +4,9 @@
 // KDD cache + RAID-5 stack, verifying end-to-end integrity, cache
 // invariants, and parity correctness after every schedule. Every schedule
 // is run twice and must be bit-identical — pass the same -seed to
-// reproduce a failure exactly.
+// reproduce a failure exactly. Options that do not fit the schedules'
+// stacks (a footprint without a hot eighth or past the array, a cache
+// below one set, an unknown -kind) exit 2 before any run.
 //
 // Examples:
 //
@@ -17,7 +19,7 @@ import (
 	"fmt"
 	"os"
 
-	"kddcache/internal/harness"
+	"kddcache/internal/check"
 )
 
 func main() {
@@ -44,7 +46,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kddchaos: warning: -ops %d under-samples the fault plans; some schedules may fail their fault-surfaced assertions\n", *ops)
 	}
 
-	rep := harness.Chaos(harness.ChaosOpts{
+	o := check.ChaosOpts{
 		Schedules:  *schedules,
 		Ops:        *ops,
 		Footprint:  *footprint,
@@ -52,12 +54,13 @@ func main() {
 		Seed:       *seed,
 		Parallel:   *parallel,
 		Kind:       *kind,
-	})
-	fmt.Print(rep.Table())
-	if len(rep.Results) == 0 {
-		fmt.Fprintf(os.Stderr, "kddchaos: no plan matches -kind %q\n", *kind)
+	}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "kddchaos: %v\n", err)
 		os.Exit(2)
 	}
+	rep := check.Chaos(o)
+	fmt.Print(rep.Table())
 	if len(rep.Violations()) > 0 {
 		os.Exit(1)
 	}

@@ -1,43 +1,31 @@
-package harness
+package check
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
-	"sort"
 	"strings"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
-	"kddcache/internal/delta"
-	"kddcache/internal/obs"
+	"kddcache/internal/harness"
 	"kddcache/internal/raid"
-	"kddcache/internal/raidiface"
-	"kddcache/internal/sim"
 )
 
 // Chaos drives the full KDD stack (SSD cache + RAID-5 backend) through
 // randomized, seeded fault schedules and verifies end-to-end integrity
 // after each one. Every schedule runs a mixed read/write workload against
-// a byte-exact oracle while a fault plan injects latent media errors,
+// the model oracle while a fault plan injects latent media errors,
 // transient glitches, silent bit-rot, torn-write crashes, or fail-stop
 // disk losses; afterwards the rig checks cache invariants, flushes, runs
 // a patrol scrub, verifies the array contents directly, and proves parity
 // by failing a disk and re-reading through reconstruction. Each schedule
 // is executed twice and must produce bit-identical results (fingerprints)
 // — fault injection is deterministic given the seed.
-
-// Chaos stack geometry: small enough that a scrub pass is cheap, large
-// enough that the footprint overflows the cache and exercises eviction,
-// cleaning, and the DEZ machinery.
-const (
-	chaosDisks     = 5
-	chaosDiskPages = 1024
-	chaosChunk     = 8
-)
 
 // ChaosOpts parameterises a chaos run.
 type ChaosOpts struct {
@@ -69,6 +57,50 @@ func (o ChaosOpts) withDefaults() ChaosOpts {
 		o.Seed = 0xC0FFEE
 	}
 	return o
+}
+
+// plans resolves Kind to the plans it names, in table order, reporting
+// any name that matches no plan.
+func (o ChaosOpts) plans() ([]*chaosPlan, error) {
+	if o.Kind == "" {
+		return chaosPlans, nil
+	}
+	want := make(map[string]bool)
+	for _, k := range strings.Split(o.Kind, ",") {
+		want[strings.TrimSpace(k)] = true
+	}
+	var out []*chaosPlan
+	for _, p := range chaosPlans {
+		if want[p.kind] {
+			out = append(out, p)
+			delete(want, p.kind)
+		}
+	}
+	for _, k := range strings.Split(o.Kind, ",") {
+		if want[strings.TrimSpace(k)] {
+			return out, fmt.Errorf("no chaos plan named %q", strings.TrimSpace(k))
+		}
+	}
+	return out, nil
+}
+
+// Validate rejects options no chaos schedule can run — an unknown plan
+// kind, a footprint without a hot eighth or past the array, a cache
+// below one set — by building every selected plan's stack once.
+func (o ChaosOpts) Validate() error {
+	o = o.withDefaults()
+	plans, err := o.plans()
+	if err != nil {
+		return err
+	}
+	if o.Footprint < 8 {
+		return fmt.Errorf("footprint of %d pages leaves the hot eighth empty; need at least 8", o.Footprint)
+	}
+	builds := make([]func() (*driver, error), len(plans))
+	for i, p := range plans {
+		builds[i] = func() (*driver, error) { return p.newDriver(0, o) }
+	}
+	return validate(o.Footprint, builds...)
 }
 
 // ChaosScheduleResult summarises one schedule (one seeded fault plan).
@@ -154,38 +186,30 @@ func (r *ChaosReport) Table() string {
 
 // Chaos runs every schedule twice (same seed) and reports the results.
 // Determinism failures are recorded as violations on the first run.
-// Schedules are independent (each builds its own rig, devices, and RNG
+// Schedules are independent (each builds its own stack, devices, and RNG
 // streams from the derived seed), so they execute on the shared worker
 // pool; results land in schedule order regardless of completion order.
 func Chaos(o ChaosOpts) *ChaosReport {
 	o = o.withDefaults()
 	rep := &ChaosReport{Opts: o}
+	plans, _ := o.plans()
+	if len(plans) == 0 {
+		return rep
+	}
 	// Schedule jobs never return errors: violations are data, recorded in
 	// the per-schedule result, so one bad schedule can't mask the rest.
-	plans := chaosPlans
-	if o.Kind != "" {
-		want := make(map[string]bool)
-		for _, k := range strings.Split(o.Kind, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-		plans = nil
-		for _, p := range chaosPlans {
-			if want[p.kind] {
-				plans = append(plans, p)
-			}
-		}
-		if len(plans) == 0 {
-			return rep
-		}
-	}
-	results, _ := fanOutN(o.Parallel, o.Schedules, func(i int) (ChaosScheduleResult, error) {
+	rep.Results, _ = harness.FanOut(o.Parallel, o.Schedules, func(i int) (ChaosScheduleResult, error) {
 		plan := plans[i%len(plans)]
 		seed := o.Seed + uint64(i)*0x9E3779B97F4A7C15
 		run := func() *ChaosScheduleResult {
+			d := must(plan.newDriver(seed, o))
+			res := &ChaosScheduleResult{Kind: plan.kind, Seed: seed}
 			if plan.custom != nil {
-				return plan.custom(seed, o)
+				plan.custom(d, o, res)
+			} else {
+				runChaosSchedule(plan, d, o, res)
 			}
-			return runChaosSchedule(plan, seed, o)
+			return res
 		}
 		res := run()
 		rerun := run()
@@ -197,7 +221,6 @@ func Chaos(o ChaosOpts) *ChaosReport {
 		res.Schedule = i
 		return *res, nil
 	})
-	rep.Results = results
 	return rep
 }
 
@@ -205,7 +228,7 @@ func Chaos(o ChaosOpts) *ChaosReport {
 type chaosPlan struct {
 	kind                string
 	level               raid.Level                    // array level (zero = RAID-5)
-	disks               int                           // member count (zero = chaosDisks)
+	disks               int                           // member count (zero = 5)
 	spares              int                           // hot spares parked at build time
 	cfg                 func(*core.Config, ChaosOpts) // tweak the KDD config before core.New
 	setup               func(*chaosRig)
@@ -215,127 +238,63 @@ type chaosPlan struct {
 	expectUnrecoverable bool // the plan deliberately exhausts redundancy
 	skipDegradedProof   bool
 
-	// custom replaces the shared single-engine schedule driver entirely
-	// (the sharded-plane plans live in their own rig); it must be fully
-	// deterministic for the given seed — the run-twice fingerprint
-	// comparison applies to custom drivers too.
-	custom func(seed uint64, o ChaosOpts) *ChaosScheduleResult
+	// shards runs the plan on the sharded plane at this execution width
+	// instead of on one engine (zero = one engine); ways sets the cache
+	// associativity (zero = 32).
+	shards, ways int
+	// custom replaces the shared single-engine schedule driver entirely;
+	// it must be fully deterministic for the given seed — the run-twice
+	// fingerprint comparison applies to custom drivers too.
+	custom func(d *driver, o ChaosOpts, res *ChaosScheduleResult)
 }
 
-// pendingChaosWrite is a write that errored because the crash point hit
-// mid-operation: afterwards the page must read back as either the old or
-// the new content — anything else is torn-write corruption.
-type pendingChaosWrite struct {
-	lba      int64
-	old, new []byte
+// newDriver builds the plan's stack — small enough that a scrub pass is
+// cheap, large enough that the footprint overflows the cache and
+// exercises eviction, cleaning, and the DEZ machinery — and its engine.
+func (p *chaosPlan) newDriver(seed uint64, o ChaosOpts) (*driver, error) {
+	g := geometry{backend: "kdd", level: raid.Level5, disks: 5, diskPages: 1024, chunk: 8,
+		spares: p.spares, ways: 32, metaPages: 64, cachePages: o.CachePages, ssdSlack: 64}
+	if p.level != 0 {
+		g.level = p.level
+	}
+	if p.disks != 0 {
+		g.disks = p.disks
+	}
+	if p.ways != 0 {
+		g.ways = p.ways
+	}
+	d, err := newDriver(seed, g)
+	if err != nil {
+		return nil, err
+	}
+	if p.shards > 0 {
+		return d, d.startPlane(d.planeConfig(p.shards, true))
+	}
+	cfg := d.coreConfig()
+	if p.cfg != nil {
+		p.cfg(&cfg, o)
+	}
+	return d, d.startKDD(cfg)
 }
 
-// chaosRig is one schedule's stack plus its oracle and tallies.
+// chaosRig is one schedule's driver plus its fault-plan tallies.
 type chaosRig struct {
+	*driver
 	o    ChaosOpts
 	plan *chaosPlan
-	rng  *sim.RNG
-	mut  *delta.Mutator
-
-	members []*blockdev.NullDevice
-	arr     raidiface.Array
-	inj     *blockdev.FaultInjector // SSD-side injector
-	cfg     core.Config
-	kdd     *core.KDD
-
-	oracle  map[int64][]byte
-	written []int64 // oracle keys in first-write order (maps don't iterate deterministically)
-	pending *pendingChaosWrite
-	halt    bool
-
-	dig *obs.Digest // trace digest sink: spans survive crashes bit-for-bit
-	tr  *obs.Tracer
+	res  *ChaosScheduleResult
 
 	flips       int            // silent/detectable corruptions actually applied
 	flippedRows map[int64]bool // rows already holding an injected member fault
 	proofFailed int            // disk deliberately failed by the degraded proof (-1 = none)
-	detectedKDD int64          // cache-layer media errors harvested across KDD instances
 	lastScrub   raid.ScrubReport
 
-	// Rebuild-pump counters banked across KDD instances (crash recoveries
-	// replace the instance), plus window-tracking state for the rebuild
-	// plans.
-	spareAttaches      int64
-	rebuildSteps       int64
-	rebuildRows        int64
-	rebuildsDone       int64
 	rebuildResumes     int  // crash recoveries that re-opened a rebuild window from the NVRAM checkpoint
 	secondKillInWindow bool // the plan's second member failure landed inside an open rebuild window
-
-	res *ChaosScheduleResult
 }
 
-func newChaosRig(plan *chaosPlan, seed uint64, o ChaosOpts) *chaosRig {
-	c := &chaosRig{
-		o:           o,
-		plan:        plan,
-		rng:         sim.NewRNG(seed),
-		mut:         delta.NewMutator(seed^0xD00D, 0.25),
-		oracle:      make(map[int64][]byte),
-		flippedRows: make(map[int64]bool),
-		proofFailed: -1,
-		res:         &ChaosScheduleResult{Kind: plan.kind, Seed: seed},
-	}
-	level := plan.level
-	if level == 0 {
-		level = raid.Level5
-	}
-	nDisks := plan.disks
-	if nDisks == 0 {
-		nDisks = chaosDisks
-	}
-	var members []blockdev.Device
-	for i := 0; i < nDisks; i++ {
-		d := blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), chaosDiskPages)
-		c.members = append(c.members, d)
-		members = append(members, d)
-	}
-	arr, err := raid.New(raid.Config{Level: level, ChunkPages: chaosChunk}, members)
-	if err != nil {
-		panic(err) // static geometry; cannot fail
-	}
-	c.arr = arr
-	for i := 0; i < plan.spares; i++ {
-		if err := arr.AddSpare(blockdev.NewNullDataDevice(fmt.Sprintf("spare%d", i), chaosDiskPages)); err != nil {
-			panic(err) // spare geometry matches by construction
-		}
-	}
-	// The tracer runs on every schedule: its digest is folded into the
-	// fingerprint, so span structure must survive crashes, failovers, and
-	// re-attachments deterministically too.
-	c.dig = obs.NewDigest()
-	c.tr = obs.NewTracer(c.dig)
-	arr.SetTracer(c.tr)
-	inner := blockdev.NewNullDataDevice("ssd", 64+o.CachePages+64)
-	c.inj = blockdev.NewFaultInjector(inner, seed^0xFA17)
-	c.cfg = core.Config{
-		SSD:        c.inj,
-		Backend:    arr,
-		CachePages: o.CachePages,
-		Ways:       32,
-		MetaStart:  0,
-		MetaPages:  64,
-		Codec:      delta.ZRLE{},
-		Tracer:     c.tr,
-	}
-	if plan.cfg != nil {
-		plan.cfg(&c.cfg, o)
-	}
-	k, err := core.New(c.cfg)
-	if err != nil {
-		panic(err)
-	}
-	c.kdd = k
-	return c
-}
-
-func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) *ChaosScheduleResult {
-	c := newChaosRig(plan, seed, o)
+func runChaosSchedule(plan *chaosPlan, d *driver, o ChaosOpts, res *ChaosScheduleResult) {
+	c := &chaosRig{driver: d, o: o, plan: plan, res: res, flippedRows: make(map[int64]bool), proofFailed: -1}
 	if plan.setup != nil {
 		plan.setup(c)
 	}
@@ -343,14 +302,8 @@ func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) *ChaosScheduleR
 		if plan.everyOp != nil {
 			plan.everyOp(c, i)
 		}
-		lba := c.pickLBA()
-		if c.rng.Float64() < 0.6 {
-			c.doWrite(lba)
-		} else {
-			c.doRead(lba)
-		}
-		if c.inj.Crashed() {
-			c.restore()
+		if c.step(c.pickLBA()) {
+			c.recover()
 		}
 	}
 	// Disarm any pending crash point and fault profiles: the verification
@@ -366,66 +319,72 @@ func runChaosSchedule(plan *chaosPlan, seed uint64, o ChaosOpts) *ChaosScheduleR
 			plan.finish(c)
 		}
 	}
-	c.harvestKDD()
-	c.res.SpareAttaches = c.spareAttaches
-	c.res.RebuildRows = c.rebuildRows
-	c.res.Detected = c.inj.MediaErrors() + c.arr.Stats().MediaErrors + c.detectedKDD
+	// Engine counters are summed across every instance: crash recovery
+	// replaces the engine.
+	ks := c.total()
+	res.Crashes = c.crashes
+	res.StaleFolds = c.folds
+	res.Failovers = ks.Failovers
+	res.Reattaches = ks.Reattaches
+	res.SpareAttaches = ks.SpareAttaches
+	res.RebuildRows = ks.RebuildRows
+	res.Repaired += ks.RowsHealed + ks.FoldRMWs + ks.FoldResyncs + c.arr.Stats().ReadRepairs
+	res.Detected = c.inj.MediaErrors() + c.arr.Stats().MediaErrors + ks.SSDMediaErrors
 	for i := range c.members {
-		c.res.Detected += c.arr.Injector(i).MediaErrors()
+		res.Detected += c.arr.Injector(i).MediaErrors()
 	}
-	c.res.Repaired += c.arr.Stats().ReadRepairs
 	if err := c.tr.Err(); err != nil {
 		c.violf("trace integrity: %v", err)
 	}
 	if n := c.tr.OpenSpans(); n != 0 {
 		c.violf("%d spans leaked open at end of schedule", n)
 	}
-	c.res.Spans = c.dig.Spans()
-	c.res.TraceDigest = c.dig.Sum64()
-	c.res.Fingerprint = c.fingerprint()
-	return c.res
+	res.Spans = c.dig.Spans()
+	res.TraceDigest = c.dig.Sum64()
+	res.Violations = c.violations
+
+	h := fnv.New64a()
+	c.hashModel(h)
+	putU64(h, uint64(res.Crashes), uint64(res.Detected), uint64(res.Repaired),
+		uint64(res.StaleFolds), uint64(res.Unrecoverable), uint64(res.Failovers),
+		uint64(res.Reattaches), uint64(res.SpareAttaches), uint64(res.RebuildRows),
+		res.Spans, res.TraceDigest, uint64(len(res.Violations)))
+	res.Fingerprint = h.Sum64()
 }
 
-func (c *chaosRig) violf(format string, args ...any) {
-	c.res.Violations = append(c.res.Violations, fmt.Sprintf(format, args...))
+// putU64 folds little-endian words into a fingerprint.
+func putU64(h hash.Hash64, vs ...uint64) {
+	var w [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(w[:], v)
+		h.Write(w[:])
+	}
 }
 
-// harvestKDD folds the current KDD instance's counters into the result
-// (instances are replaced across crash recoveries).
-func (c *chaosRig) harvestKDD() {
-	ks := c.kdd.Stats()
-	c.res.Repaired += ks.RowsHealed + ks.FoldRMWs + ks.FoldResyncs
-	c.detectedKDD += ks.SSDMediaErrors
-	c.res.Failovers += ks.Failovers
-	c.res.Reattaches += ks.Reattaches
-	c.spareAttaches += ks.SpareAttaches
-	c.rebuildSteps += ks.RebuildSteps
-	c.rebuildRows += ks.RebuildRows
-	c.rebuildsDone += ks.RebuildsDone
-}
-
-// pumpRebuildStats returns the rebuild-pump counters summed across every
-// KDD instance this schedule has run: restore() banks each pre-crash
-// instance's stats, and the live instance's are added on top. Finish
-// hooks use this — the final harvest has not run when they execute.
-func (c *chaosRig) pumpRebuildStats() (attaches, steps, rows, done int64) {
-	ks := c.kdd.Stats()
-	return c.spareAttaches + ks.SpareAttaches,
-		c.rebuildSteps + ks.RebuildSteps,
-		c.rebuildRows + ks.RebuildRows,
-		c.rebuildsDone + ks.RebuildsDone
+// hashModel folds every resolved page of the model, in LBA order, into a
+// fingerprint: two runs of the same seed must agree bit for bit.
+func (d *driver) hashModel(h hash.Hash64) {
+	for _, lba := range d.mdl.Footprint() {
+		if v, ok := d.mdl.Value(lba); ok {
+			putU64(h, uint64(lba))
+			h.Write(v)
+		}
+	}
 }
 
 // writtenLBA draws a random LBA that has actually been written, so
 // targeted corruption always lands on a live page even in short runs.
 func (c *chaosRig) writtenLBA() (int64, bool) {
-	if len(c.written) == 0 {
+	w := c.mdl.Written()
+	if len(w) == 0 {
 		return 0, false
 	}
-	return c.written[c.rng.Intn(len(c.written))], true
+	return w[c.rng.Intn(len(w))], true
 }
 
-// pickLBA draws from the footprint with a hot front eighth.
+// pickLBA draws from the footprint with a hot front eighth. Unlike the
+// checker's draw it picks inside the eighth directly; each keeps its own
+// RNG stream, which its recorded fingerprints pin.
 func (c *chaosRig) pickLBA() int64 {
 	if c.rng.Float64() < 0.5 {
 		return int64(c.rng.Uint64n(uint64(c.o.Footprint / 8)))
@@ -433,144 +392,24 @@ func (c *chaosRig) pickLBA() int64 {
 	return int64(c.rng.Uint64n(uint64(c.o.Footprint)))
 }
 
-// foldRetry reports whether err is the loud stale-parity refusal — parity
-// deliberately left stale by WriteNoParity cannot reconstruct — and if so
-// folds the pending deltas (making the rows consistent) so the caller can
-// retry.
-func (c *chaosRig) foldRetry(err error) bool {
-	if !errors.Is(err, raid.ErrStaleParity) {
-		return false
-	}
-	if _, cerr := c.kdd.Clean(0, true); cerr != nil {
-		c.violf("fold after stale-parity refusal: %v", cerr)
-		return false
-	}
-	c.res.StaleFolds++
-	return true
-}
-
-func (c *chaosRig) doWrite(lba int64) {
-	page := make([]byte, blockdev.PageSize)
-	prev, existed := c.oracle[lba]
-	if existed {
-		copy(page, prev)
-		c.mut.Mutate(page)
-	} else {
-		c.mut.FillRandom(page)
-	}
-	_, err := c.kdd.Write(0, lba, page)
-	if err != nil && c.foldRetry(err) {
-		_, err = c.kdd.Write(0, lba, page)
-	}
-	if err == nil {
-		if !existed {
-			c.written = append(c.written, lba)
-		}
-		c.oracle[lba] = page
-		return
-	}
-	if c.inj.Crashed() {
-		// The crash hit mid-write: old or new may be durable. The first
-		// post-recovery read pins which one the oracle keeps.
-		old := c.oracle[lba]
-		if old == nil {
-			old = make([]byte, blockdev.PageSize)
-		}
-		c.pending = &pendingChaosWrite{lba: lba, old: old, new: page}
-		return
-	}
-	c.violf("write %d failed: %v", lba, err)
-}
-
-func (c *chaosRig) doRead(lba int64) {
-	buf := make([]byte, blockdev.PageSize)
-	_, err := c.kdd.Read(0, lba, buf)
-	if err != nil && c.foldRetry(err) {
-		_, err = c.kdd.Read(0, lba, buf)
-	}
-	if err != nil {
-		if c.inj.Crashed() {
-			return // the crash interrupted the read; recovery handles it
-		}
-		c.violf("read %d failed: %v", lba, err)
-		return
-	}
-	want := c.oracle[lba]
-	if want == nil {
-		want = make([]byte, blockdev.PageSize)
-	}
-	if !bytes.Equal(buf, want) {
-		c.violf("read %d returned wrong data (undetected corruption)", lba)
-	}
-}
-
 // armNext arms the next torn-write crash point at a random distance.
 // The distance window shrinks with -ops so short schedules still crash
 // at least once instead of running out of writes before the trigger.
 func (c *chaosRig) armNext() {
-	span := c.o.Ops / 4
-	if span > 120 {
-		span = 120
-	}
-	if span < 1 {
-		span = 1
-	}
+	span := min(120, max(1, c.o.Ops/4))
 	c.inj.ArmCrash(int64(10+c.rng.Intn(span)), c.rng.Intn(3), c.rng.Intn(blockdev.PageSize))
 }
 
-// restore recovers from an injected power loss: snapshot the NVRAM state
-// (log counters + buffered entries + staging), clear the crash, and bring
-// up a fresh KDD instance via the RPO-zero recovery path.
-func (c *chaosRig) restore() {
-	c.res.Crashes++
-	c.harvestKDD()
-	ctr := c.kdd.Log().Counters()
-	buffered := c.kdd.Log().BufferedEntries()
-	staging := c.kdd.Staging()
-	c.inj.ClearCrash()
-	// The rebuild watermark is volatile array software state: the power
-	// loss forgets it, and recovery must resume from the checkpoint the
-	// engine persisted in NVRAM — or the un-rebuilt region of the target
-	// would silently be served as valid zeros.
-	c.arr.CrashRebuildState()
-	k, _, err := core.Restore(c.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		c.violf("restore after crash: %v", err)
-		c.halt = true
+// recover restores once from an injected power loss — chaos re-arms
+// where the checker replays twice — counting a rebuild window re-opened
+// from the NVRAM checkpoint.
+func (c *chaosRig) recover() {
+	c.restore(1)
+	if c.halt {
 		return
 	}
-	c.kdd = k
 	if c.arr.RebuildActive() {
 		c.rebuildResumes++
-	}
-	if err := k.CheckInvariants(); err != nil {
-		c.violf("post-restore invariants: %v", err)
-	}
-	// Every span must have closed on the error path that surfaced the
-	// crash; a leak here would corrupt attribution for the whole rest of
-	// the schedule.
-	if n := c.tr.OpenSpans(); n != 0 {
-		c.violf("%d spans open across crash recovery", n)
-	}
-	if p := c.pending; p != nil {
-		c.pending = nil
-		buf := make([]byte, blockdev.PageSize)
-		_, existed := c.oracle[p.lba]
-		if _, err := k.Read(0, p.lba, buf); err != nil {
-			c.violf("post-restore read %d: %v", p.lba, err)
-		} else if bytes.Equal(buf, p.new) {
-			if !existed {
-				c.written = append(c.written, p.lba)
-			}
-			c.oracle[p.lba] = p.new
-		} else if bytes.Equal(buf, p.old) {
-			if !existed {
-				c.written = append(c.written, p.lba)
-			}
-			c.oracle[p.lba] = p.old
-		} else {
-			c.violf("post-restore read %d matches neither old nor new content", p.lba)
-		}
 	}
 	if c.plan.rearmCrash {
 		c.armNext()
@@ -581,21 +420,11 @@ func (c *chaosRig) restore() {
 // read-verify, flush, patrol scrub, direct array verify, and a degraded
 // re-read proving the parity actually reconstructs the data.
 func (c *chaosRig) verify() {
-	if err := c.kdd.CheckInvariants(); err != nil {
+	if err := c.eng.CheckInvariants(); err != nil {
 		c.violf("invariants: %v", err)
 	}
-	for lba := int64(0); lba < c.o.Footprint; lba++ {
-		c.doRead(lba)
-	}
-	if _, err := c.kdd.Flush(0); err != nil {
-		c.violf("flush: %v", err)
+	if !c.readFlushed(c.o.Footprint) {
 		return
-	}
-	if n := c.arr.StaleRows(); n != 0 {
-		c.violf("%d stale rows after flush", n)
-	}
-	if err := c.kdd.CheckInvariants(); err != nil {
-		c.violf("post-flush invariants: %v", err)
 	}
 	// Drive any open rebuild window to completion and attach remaining
 	// parked spares before judging the array: whenever a spare was
@@ -610,7 +439,7 @@ func (c *chaosRig) verify() {
 			break
 		}
 		if c.arr.RebuildActive() {
-			if _, _, _, err := c.arr.RebuildStep(0, int(chaosDiskPages)); err != nil {
+			if _, _, _, err := c.arr.RebuildStep(0, int(c.g.diskPages)); err != nil {
 				c.violf("verify: rebuild step: %v", err)
 				break
 			}
@@ -619,7 +448,7 @@ func (c *chaosRig) verify() {
 		if c.arr.SpareCount() == 0 {
 			break // degraded with no spare left: a legal end state
 		}
-		if _, err := c.kdd.Clean(0, true); err != nil {
+		if _, err := c.kdd().Clean(0, true); err != nil {
 			c.violf("verify: delta fold before spare attach: %v", err)
 			break
 		}
@@ -643,80 +472,16 @@ func (c *chaosRig) verify() {
 	if len(rep.Unrecoverable) > 0 && !c.plan.expectUnrecoverable {
 		c.violf("scrub reported unrecoverable rows %v", rep.Unrecoverable)
 	}
-	zero := make([]byte, blockdev.PageSize)
-	buf := make([]byte, blockdev.PageSize)
-	for lba := int64(0); lba < c.o.Footprint; lba++ {
-		want := c.oracle[lba]
-		if want == nil {
-			want = zero
-		}
-		if _, err := c.arr.ReadPages(0, lba, 1, buf); err != nil {
-			c.violf("array read %d: %v", lba, err)
-			continue
-		}
-		if !bytes.Equal(buf, want) {
-			c.violf("array content mismatch at %d", lba)
-		}
-	}
+	c.sweepArray(c.o.Footprint, "array")
 	if c.plan.skipDegradedProof || !c.arr.Healthy() {
 		return
 	}
-	// Parity proof: drop one member and re-read everything through
-	// reconstruction. Wrong parity anywhere in the footprint shows up
-	// here as a mismatch.
-	c.proofFailed = c.rng.Intn(len(c.members))
-	c.arr.FailDisk(c.proofFailed)
-	for lba := int64(0); lba < c.o.Footprint; lba++ {
-		want := c.oracle[lba]
-		if want == nil {
-			want = zero
-		}
-		if _, err := c.arr.ReadPages(0, lba, 1, buf); err != nil {
-			c.violf("degraded read %d: %v", lba, err)
-			continue
-		}
-		if !bytes.Equal(buf, want) {
-			c.violf("degraded reconstruction mismatch at %d", lba)
-		}
-	}
-}
-
-// fingerprint digests the oracle contents and the schedule tallies; two
-// runs of the same seed must agree bit for bit.
-func (c *chaosRig) fingerprint() uint64 {
-	h := fnv.New64a()
-	lbas := make([]int64, 0, len(c.oracle))
-	for lba := range c.oracle {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-	var w [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		h.Write(w[:])
-	}
-	for _, lba := range lbas {
-		put(uint64(lba))
-		h.Write(c.oracle[lba])
-	}
-	put(uint64(c.res.Crashes))
-	put(uint64(c.res.Detected))
-	put(uint64(c.res.Repaired))
-	put(uint64(c.res.StaleFolds))
-	put(uint64(c.res.Unrecoverable))
-	put(uint64(c.res.Failovers))
-	put(uint64(c.res.Reattaches))
-	put(uint64(c.res.SpareAttaches))
-	put(uint64(c.res.RebuildRows))
-	put(c.res.Spans)
-	put(c.res.TraceDigest)
-	put(uint64(len(c.res.Violations)))
-	return h.Sum64()
+	c.proofFailed = c.degradedProof(c.o.Footprint)
 }
 
 // cacheDataPage returns a random SSD page inside the cache data partition.
 func (c *chaosRig) cacheDataPage() int64 {
-	return c.cfg.MetaStart + c.cfg.MetaPages + int64(c.rng.Uint64n(uint64(c.o.CachePages)))
+	return c.g.metaPages + int64(c.rng.Uint64n(uint64(c.o.CachePages)))
 }
 
 // corruptSomeCachePage flips one bit in a cache data page that actually
@@ -724,7 +489,7 @@ func (c *chaosRig) cacheDataPage() int64 {
 // with sparse caches still land their corruption. Returns false only if
 // the cache data partition is completely empty.
 func (c *chaosRig) corruptSomeCachePage() bool {
-	base := c.cfg.MetaStart + c.cfg.MetaPages
+	base := c.g.metaPages
 	start := int64(c.rng.Uint64n(uint64(c.o.CachePages)))
 	bit := uint(c.rng.Intn(blockdev.PageSize * 8))
 	for j := int64(0); j < c.o.CachePages; j++ {
@@ -733,11 +498,6 @@ func (c *chaosRig) corruptSomeCachePage() bool {
 		}
 	}
 	return false
-}
-
-// memberStore returns disk i's backing MemStore for corruption injection.
-func (c *chaosRig) memberStore(i int) *blockdev.MemStore {
-	return c.members[i].Store()
 }
 
 // chaosProfile scales the probabilistic fault rates inversely with the
@@ -770,11 +530,11 @@ var chaosPlans = []*chaosPlan{
 				// latent-bad and re-read the footprint — the first cache
 				// hit must trip the media fallback (and heal itself), so a
 				// populated cache cannot stay error-free.
-				base := c.cfg.MetaStart + c.cfg.MetaPages
+				base := c.g.metaPages
 				for p := int64(0); p < c.o.CachePages; p++ {
 					c.inj.InjectBadPage(base + p)
 				}
-				for _, lba := range c.written {
+				for _, lba := range c.mdl.Written() {
 					c.doRead(lba)
 					if c.inj.MediaErrors() > 0 {
 						break
@@ -855,7 +615,7 @@ var chaosPlans = []*chaosPlan{
 				if c.flippedRows[page] {
 					return
 				}
-				if c.memberStore(disk).CorruptPage(page, bit) {
+				if c.members[disk].Store().CorruptPage(page, bit) {
 					c.flips++
 					c.flippedRows[page] = true
 				}
@@ -883,7 +643,7 @@ var chaosPlans = []*chaosPlan{
 				}
 				bit := uint(c.rng.Intn(blockdev.PageSize * 8))
 				pDisk, _, page := c.arr.ParityLocation(lba)
-				if c.memberStore(pDisk).CorruptPageSilently(page, bit) {
+				if c.members[pDisk].Store().CorruptPageSilently(page, bit) {
 					c.flips++
 				}
 			}
@@ -905,7 +665,7 @@ var chaosPlans = []*chaosPlan{
 		rearmCrash: true,
 		setup:      func(c *chaosRig) { c.armNext() },
 		finish: func(c *chaosRig) {
-			if c.res.Crashes == 0 {
+			if c.crashes == 0 {
 				c.violf("crash-torn: no crash fired")
 			}
 		},
@@ -922,7 +682,7 @@ var chaosPlans = []*chaosPlan{
 				if lba, ok := c.writtenLBA(); ok {
 					disk, page := c.arr.DataLocation(lba)
 					if !c.flippedRows[page] &&
-						c.memberStore(disk).CorruptPage(page, uint(c.rng.Intn(blockdev.PageSize*8))) {
+						c.members[disk].Store().CorruptPage(page, uint(c.rng.Intn(blockdev.PageSize*8))) {
 						c.flips++
 						c.flippedRows[page] = true
 					}
@@ -950,11 +710,11 @@ var chaosPlans = []*chaosPlan{
 			case c.o.Ops / 3:
 				c.arr.FailDisk(1)
 			case 2 * c.o.Ops / 3:
-				if _, err := c.kdd.Flush(0); err != nil {
+				if _, err := c.kdd().Flush(0); err != nil {
 					c.violf("pre-rebuild flush: %v", err)
 					return
 				}
-				fresh := blockdev.NewNullDataDevice("d1r", chaosDiskPages)
+				fresh := blockdev.NewNullDataDevice("d1r", c.g.diskPages)
 				if _, err := c.arr.ReplaceDisk(0, 1, fresh); err != nil {
 					c.violf("rebuild: %v", err)
 				}
@@ -976,11 +736,11 @@ var chaosPlans = []*chaosPlan{
 		skipDegradedProof:   true,
 		finish: func(c *chaosRig) {
 			lba := c.o.Footprint / 2
-			if _, ok := c.oracle[lba]; !ok {
+			if v, _ := c.mdl.Value(lba); v == nil {
 				// Extremely unlikely with the default footprint, but keep
 				// the probe honest: pick the first written lba.
 				for l := int64(0); l < c.o.Footprint; l++ {
-					if _, ok := c.oracle[l]; ok {
+					if v, _ := c.mdl.Value(l); v != nil {
 						lba = l
 						break
 					}
@@ -1018,7 +778,7 @@ var chaosPlans = []*chaosPlan{
 			}
 			if _, err := c.arr.ReadPages(0, lba, 1, buf); err != nil {
 				c.violf("post-clear read %d: %v", lba, err)
-			} else if want := c.oracle[lba]; want != nil && !bytes.Equal(buf, want) {
+			} else if want, _ := c.mdl.Value(lba); want != nil && !bytes.Equal(buf, want) {
 				c.violf("post-clear content mismatch at %d", lba)
 			}
 		},
@@ -1034,10 +794,10 @@ var chaosPlans = []*chaosPlan{
 			}
 		},
 		finish: func(c *chaosRig) {
-			if h := c.kdd.Health(); h != core.HealthBypass {
+			if h := c.kdd().Health(); h != core.HealthBypass {
 				c.violf("ssd-kill: health %v, want bypass", h)
 			}
-			ks := c.kdd.Stats()
+			ks := c.kdd().Stats()
 			if ks.Failovers == 0 {
 				c.violf("ssd-kill: failover never engaged")
 			}
@@ -1054,16 +814,16 @@ var chaosPlans = []*chaosPlan{
 		everyOp: func(c *chaosRig, i int) {
 			if i == c.o.Ops/2 {
 				c.inj.FailAfterOps = c.inj.Ops() + 5
-				if _, err := c.kdd.Clean(0, true); err != nil {
+				if _, err := c.kdd().Clean(0, true); err != nil {
 					c.violf("ssd-kill-clean: clean surfaced %v", err)
 				}
 			}
 		},
 		finish: func(c *chaosRig) {
-			if h := c.kdd.Health(); h != core.HealthBypass {
+			if h := c.kdd().Health(); h != core.HealthBypass {
 				c.violf("ssd-kill-clean: health %v, want bypass", h)
 			}
-			if c.kdd.Stats().Failovers == 0 {
+			if c.kdd().Stats().Failovers == 0 {
 				c.violf("ssd-kill-clean: failover never engaged")
 			}
 		},
@@ -1096,14 +856,14 @@ var chaosPlans = []*chaosPlan{
 			}
 		},
 		finish: func(c *chaosRig) {
-			ks := c.kdd.Stats()
+			ks := c.kdd().Stats()
 			if ks.BreakerTrips == 0 {
 				c.violf("ssd-breaker: breaker never tripped")
 			}
 			if ks.BreakerProbes == 0 {
 				c.violf("ssd-breaker: no probes ran")
 			}
-			if h := c.kdd.Health(); h != core.HealthNormal && h != core.HealthRebuilding {
+			if h := c.kdd().Health(); h != core.HealthNormal && h != core.HealthRebuilding {
 				c.violf("ssd-breaker: health %v after the storm cleared", h)
 			}
 		},
@@ -1118,11 +878,11 @@ var chaosPlans = []*chaosPlan{
 			case c.o.Ops / 4:
 				c.inj.Fail()
 			case c.o.Ops / 2:
-				if h := c.kdd.Health(); h != core.HealthBypass {
+				if h := c.kdd().Health(); h != core.HealthBypass {
 					c.violf("ssd-reattach: health %v before reattach, want bypass", h)
 				}
-				c.inj.Repair(blockdev.NewNullDataDevice("ssd", 64+c.o.CachePages+64))
-				if err := c.kdd.Reattach(0, nil); err != nil {
+				c.inj.Repair(blockdev.NewNullDataDevice("ssd", c.g.metaPages+c.g.cachePages+c.g.ssdSlack))
+				if err := c.kdd().Reattach(0, nil); err != nil {
 					c.violf("ssd-reattach: %v", err)
 				}
 			case 3 * c.o.Ops / 4:
@@ -1130,14 +890,14 @@ var chaosPlans = []*chaosPlan{
 			}
 		},
 		finish: func(c *chaosRig) {
-			ks := c.kdd.Stats()
+			ks := c.kdd().Stats()
 			if ks.Reattaches != 1 {
 				c.violf("ssd-reattach: %d reattaches, want 1", ks.Reattaches)
 			}
 			if ks.Failovers < 2 {
 				c.violf("ssd-reattach: %d failovers, want 2 (kill + rekill)", ks.Failovers)
 			}
-			if h := c.kdd.Health(); h != core.HealthBypass {
+			if h := c.kdd().Health(); h != core.HealthBypass {
 				c.violf("ssd-reattach: health %v after rekill, want bypass", h)
 			}
 		},
@@ -1156,11 +916,12 @@ var chaosPlans = []*chaosPlan{
 			}
 		},
 		finish: func(c *chaosRig) {
-			attaches, _, rows, _ := c.pumpRebuildStats()
-			if attaches == 0 {
+			// Pump counters sum across every engine instance.
+			ks := c.total()
+			if ks.SpareAttaches == 0 {
 				c.violf("disk-kill: the pump never attached the spare")
 			}
-			if rows == 0 {
+			if ks.RebuildRows == 0 {
 				c.violf("disk-kill: no rebuild rows were pumped under foreground load")
 			}
 			if c.arr.Stats().RebuildsCompleted == 0 {
@@ -1197,7 +958,7 @@ var chaosPlans = []*chaosPlan{
 			}
 		},
 		finish: func(c *chaosRig) {
-			if c.res.Crashes == 0 {
+			if c.crashes == 0 {
 				c.violf("rebuild-crash: no crash fired")
 			}
 			if c.rebuildResumes == 0 {
@@ -1236,9 +997,8 @@ var chaosPlans = []*chaosPlan{
 			if !c.secondKillInWindow {
 				c.violf("double-kill: second failure missed the rebuild window")
 			}
-			attaches, _, _, _ := c.pumpRebuildStats()
-			if attaches < 2 {
-				c.violf("double-kill: %d spare attaches, want 2", attaches)
+			if n := c.total().SpareAttaches; n < 2 {
+				c.violf("double-kill: %d spare attaches, want 2", n)
 			}
 			if n := c.arr.Stats().RebuildsCompleted; n < 2 {
 				c.violf("double-kill: %d rebuilds completed, want 2", n)
@@ -1255,7 +1015,11 @@ var chaosPlans = []*chaosPlan{
 		// One lane of the sharded plane loses its SSD slice mid-batch:
 		// that lane alone folds to pass-through while the other seven
 		// keep serving from cache (chaoslane.go has the full driver).
+		// Four workers over eight lanes: the dead lane shares a worker
+		// with a live one.
 		kind:   "ssd-lane-kill",
-		custom: runLaneKillSchedule,
+		shards: 4,
+		ways:   16,
+		custom: runLaneKill,
 	},
 }

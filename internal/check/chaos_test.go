@@ -1,13 +1,41 @@
-package harness
+package check
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
+
+// checkGolden pins a rendered report byte for byte: the tables carry the
+// fingerprints and trace digests, so any drift in the op stream, the
+// fault plans or the engine shows up here.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("report differs from %s (run with -update after an intended change):\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
 // TestChaos runs the full default chaos suite: at least 20 distinct
 // seeded fault schedules, each executed twice (determinism), with zero
-// invariant violations and zero undetected corruption.
+// invariant violations and zero undetected corruption, and a report
+// byte-identical to the committed golden (the determinism contract
+// across commits).
 func TestChaos(t *testing.T) {
 	rep := Chaos(ChaosOpts{})
 	if len(rep.Results) < 20 {
@@ -16,6 +44,7 @@ func TestChaos(t *testing.T) {
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("%d violations:\n%s", len(v), strings.Join(v, "\n"))
 	}
+	checkGolden(t, "chaos.golden", rep.Table())
 
 	kinds := make(map[string]bool)
 	var crashes, unrec int
@@ -158,5 +187,22 @@ func TestChaosSeedSensitivity(t *testing.T) {
 	}
 	if same == len(a.Results) {
 		t.Error("fingerprints identical across different master seeds")
+	}
+}
+
+// TestChaosDeterministicAcrossParallelism runs a small chaos batch
+// serially and in parallel; the rendered table (fingerprints included)
+// must match byte for byte.
+func TestChaosDeterministicAcrossParallelism(t *testing.T) {
+	opts := ChaosOpts{Schedules: 4, Ops: 160, Parallel: 1}
+	serial := Chaos(opts).Table()
+	opts.Parallel = 4
+	parallel := Chaos(opts).Table()
+	if serial != parallel {
+		t.Fatalf("chaos table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
+	}
+	if v := Chaos(opts).Violations(); len(v) != 0 {
+		t.Fatalf("chaos violations: %v", v)
 	}
 }

@@ -1,13 +1,18 @@
-// Package check is the model-based crash-consistency checker. It runs a
-// seeded workload once fault-free while recording the device-op trace,
-// enumerates EVERY crash point (each SSD write ordinal, with seeded torn
-// tails) and media-fault site (latent and transient, per distinct page on
-// the SSD and each array member) from that trace, then replays the same
-// workload once per site with that single fault armed. Each replay is
-// cross-checked against internal/model's reference semantics: acked
-// writes survive, in-flight writes resolve old-or-new and pin, recovery
-// replay is idempotent, parity stays reconstructable, and every store's
-// page checksums verify.
+// Package check is the home of fault-injection verification: the chaos
+// harness (Chaos, randomized seeded fault schedules) and the model-based
+// crash-consistency checker (Run, RunShard), all on one driver — one
+// stack builder, one op executor, one crash-recovery path and one oracle,
+// internal/model.
+//
+// The checker runs a seeded workload once fault-free while recording the
+// device-op trace, enumerates EVERY crash point (each SSD write ordinal,
+// with seeded torn tails) and media-fault site (latent and transient, per
+// distinct page on the SSD and each array member) from that trace, then
+// replays the same workload once per site with that single fault armed.
+// Each replay is cross-checked against internal/model's reference
+// semantics: acked writes survive, in-flight writes resolve old-or-new
+// and pin, recovery replay is idempotent, parity stays reconstructable,
+// and every store's page checksums verify.
 package check
 
 import (
@@ -43,9 +48,8 @@ type Options struct {
 	MediaStride int
 	// Backend picks the array implementation under the cache: "kdd" (the
 	// default; parity RAID with the delayed-parity protocol) or "lsraid"
-	// (the log-structured backend). The rebuild scenario and the sharded
-	// sweep are kdd-only: the former depends on RAID-6 double-fault
-	// geometry, the latter pins the sharded plane's own array wiring.
+	// (the log-structured backend), for both sweeps. The rebuild scenario
+	// is kdd-only: it depends on RAID-6 double-fault geometry.
 	Backend string
 }
 
@@ -141,17 +145,63 @@ func (r *Report) Table() string {
 	return b.String()
 }
 
-// Run executes the checker across o.Seeds seeds. Sites within a seed fan
-// out across workers; each site replay is independent, so violations come
-// back as data and never abort the sweep.
+// Validate rejects options no checker rig can run — an unknown backend,
+// the rebuild scenario off parity RAID, a footprint or cache that does
+// not fit the stack — with an error instead of a panic or a flood of
+// violations. It checks both the single-core and the sharded rig.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.Rebuild && o.Backend != "kdd" {
+		return fmt.Errorf("the rebuild scenario needs the kdd backend (RAID-6 double-fault geometry), got %q", o.Backend)
+	}
+	return validate(o.Footprint,
+		func() (*driver, error) { return o.kddDriver(0) },
+		func() (*driver, error) { return o.planeDriver(0, 1) })
+}
+
+// sweepRig is one checker run: a driver, its seeded workload and its
+// post-run verification chain.
+type sweepRig interface {
+	base() *driver
+	runOps()
+	verify()
+}
+
+// Run executes the single-core checker across o.Seeds seeds. Sites within
+// a seed fan out across workers; each site replay is independent, so
+// violations come back as data and never abort the sweep.
 func Run(o Options) *Report {
 	o = o.withDefaults()
-	rep := &Report{Opts: o}
+	return sweep(o, "", func(seed uint64, _ int) sweepRig {
+		return &rig{driver: must(o.kddDriver(seed)), o: o}
+	})
+}
+
+// RunShard executes the sharded-plane crash sweep across o.Seeds seeds:
+// a batched workload over the full plane (eight lanes, one shared
+// metadata log with per-lane tagged batch flushes), profiled fault-free,
+// then replayed once per SSD write ordinal with a torn-write crash point
+// armed. Crashes land with several lanes' metadata batches in flight;
+// recovery must demultiplex the shared log back to the lanes, twice,
+// identically. Only crash sites are explored — media-fault coverage of
+// the engine under each lane is the single-core sweep's job, and the
+// plane disables the per-lane breakers (a shared SSD fails as a whole).
+func RunShard(o Options) *Report {
+	o = o.withDefaults()
+	o.CrashOnly = true
+	return sweep(o, "sharded plane, crash points with batches in flight", func(seed uint64, i int) sweepRig {
+		return &shardRig{driver: must(o.planeDriver(seed, shardSweepWidths[i%len(shardSweepWidths)])), o: o}
+	})
+}
+
+// sweep runs one rig kind across o.Seeds seeds.
+func sweep(o Options, kind string, newRig func(seed uint64, i int) sweepRig) *Report {
+	rep := &Report{Opts: o, Kind: kind}
 	for i := 0; i < o.Seeds; i++ {
 		// Same stride as the chaos harness, so its 24 schedule seeds are
 		// reachable here as regression seeds.
 		seed := o.Seed + uint64(i)*0x9E3779B97F4A7C15
-		res := runSeed(seed, o)
+		res := runSeed(seed, o, func() sweepRig { return newRig(seed, i) })
 		res.Index = i
 		rep.Results = append(rep.Results, res)
 	}
@@ -167,28 +217,29 @@ type siteOutcome struct {
 
 // runSeed profiles the workload fault-free, enumerates every site from
 // the recorded traces, and replays the workload once per site.
-func runSeed(seed uint64, o Options) SeedResult {
+func runSeed(seed uint64, o Options, newRig func() sweepRig) SeedResult {
 	res := SeedResult{Seed: seed}
 
 	// Profile run: fault-free, recording the device-op trace on the SSD
 	// and every array member. The baseline must be clean — otherwise site
 	// failures would be noise on top of a broken stack.
-	r := newRig(seed, o)
-	r.inj.RecordOps(true)
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).RecordOps(true)
+	r := newRig()
+	d := r.base()
+	record := func(on bool) {
+		d.inj.RecordOps(on)
+		for i := range d.members {
+			d.arr.Injector(i).RecordOps(on)
+		}
 	}
+	record(true)
 	r.runOps()
-	r.inj.RecordOps(false)
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).RecordOps(false)
-	}
+	record(false)
 	// Pump activity during the profile run, captured before verify (whose
 	// completion drive steps the array directly, not through the pump).
-	profileSteps := int(r.kdd.Stats().RebuildSteps)
+	profileSteps := int(d.eng.Stats().RebuildSteps)
 	r.verify()
-	if len(r.violations) > 0 {
-		for _, v := range r.violations {
+	if len(d.violations) > 0 {
+		for _, v := range d.violations {
 			res.Violations = append(res.Violations, "baseline (no faults): "+v)
 		}
 		return res
@@ -201,22 +252,19 @@ func runSeed(seed uint64, o Options) SeedResult {
 	// crash point inside the window for every step. Other members
 	// contribute media sites only.
 	var sites []site
-	for _, fs := range blockdev.EnumerateSites(r.inj.Recorded(), seed^0x517E5) {
+	for _, fs := range blockdev.EnumerateSites(d.inj.Recorded(), seed^0x517E5) {
 		if o.CrashOnly && fs.Kind != blockdev.FaultCrashTorn {
 			continue
 		}
 		sites = append(sites, site{dev: "ssd", disk: -1, fs: fs})
 	}
 	if !o.CrashOnly {
-		stride := o.MediaStride
-		if stride < 1 {
-			stride = 1
-		}
-		for d := 0; d < r.nDisks; d++ {
+		stride := max(1, o.MediaStride)
+		for disk := range d.members {
 			media := 0
-			for _, fs := range blockdev.EnumerateSites(r.arr.Injector(d).Recorded(), seed^uint64(d)) {
+			for _, fs := range blockdev.EnumerateSites(d.arr.Injector(disk).Recorded(), seed^uint64(disk)) {
 				if fs.Kind == blockdev.FaultCrashTorn {
-					if !o.Rebuild || d != rebuildVictim {
+					if !o.Rebuild || disk != rebuildVictim {
 						continue
 					}
 					// Member pages are write-atomic (the sector-atomicity
@@ -226,17 +274,17 @@ func runSeed(seed uint64, o Options) SeedResult {
 					fs.TornPages, fs.TornBytes = 0, 0
 				} else {
 					media++
-					if (media-1)%stride != d%stride {
+					if (media-1)%stride != disk%stride {
 						continue
 					}
 				}
-				sites = append(sites, site{dev: fmt.Sprintf("disk%d", d), disk: d, fs: fs})
+				sites = append(sites, site{dev: fmt.Sprintf("disk%d", disk), disk: disk, fs: fs})
 			}
 		}
 		// Whole-SSD fail-stop sites: strided op ordinals at which the cache
 		// device dies outright. SSD only — a member fail-stop is the RAID
 		// layer's rebuild problem, already covered by the chaos harness.
-		for _, fs := range blockdev.EnumerateFailStopSites(r.inj.Recorded(), 8) {
+		for _, fs := range blockdev.EnumerateFailStopSites(d.inj.Recorded(), 8) {
 			sites = append(sites, site{dev: "ssd", disk: -1, fs: fs})
 		}
 	}
@@ -266,7 +314,7 @@ func runSeed(seed uint64, o Options) SeedResult {
 	}
 
 	outs, _ := harness.FanOut(o.Parallel, len(sites), func(i int) (siteOutcome, error) {
-		return runSite(seed, o, sites[i]), nil
+		return runSite(newRig(), sites[i], o.Rebuild), nil
 	})
 	for i, out := range outs {
 		res.Crashes += out.crashes
@@ -280,26 +328,23 @@ func runSeed(seed uint64, o Options) SeedResult {
 // runSite replays the seeded workload with exactly one fault armed, then
 // runs the full verification chain. The workload prefix is identical to
 // the profile run, so crash write-ordinals land where they were recorded.
-func runSite(seed uint64, o Options, s site) siteOutcome {
-	r := newRig(seed, o)
+func runSite(r sweepRig, s site, rebuild bool) siteOutcome {
+	d := r.base()
 	// An SSD fail-stop inside the rebuild window is a legal double fault:
 	// the deltas that died with the cache were the only way to repair
 	// stale parity before reconstructing the missing member (§III-E).
-	r.allowLost = o.Rebuild && s.disk < 0 && s.fs.Kind == blockdev.FaultFailStop
+	d.allowLost = rebuild && s.disk < 0 && s.fs.Kind == blockdev.FaultFailStop
 	if s.disk < 0 {
-		r.inj.Arm(s.fs)
+		d.inj.Arm(s.fs)
 	} else {
-		r.arr.Injector(s.disk).Arm(s.fs)
+		d.arr.Injector(s.disk).Arm(s.fs)
 	}
 	r.runOps()
-	if !r.halt {
+	if !d.halt {
 		r.verify()
-		if s.fs.Kind == blockdev.FaultFailStop {
-			r.verifyBypassRestore()
-		}
 	}
-	out := siteOutcome{crashes: r.crashes, violations: r.violations}
-	if s.fs.Kind == blockdev.FaultCrashTorn && r.crashes == 0 {
+	out := siteOutcome{crashes: d.crashes, violations: d.violations}
+	if s.fs.Kind == blockdev.FaultCrashTorn && d.crashes == 0 {
 		out.violations = append(out.violations, "armed crash point never fired (replay diverged from profile)")
 	}
 	return out

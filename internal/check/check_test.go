@@ -2,18 +2,22 @@
 
 package check
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCheckerCIMode is the deterministic CI sweep: two seeds, every crash
 // point and media-fault site enumerated from the profile trace, zero
 // violations expected. It also asserts the sweep had teeth — sites were
-// actually enumerated and every armed crash point actually fired.
+// actually enumerated and every armed crash point actually fired — and
+// pins the rendered report to its golden.
 func TestCheckerCIMode(t *testing.T) {
-	o := Options{Seeds: 2, Ops: 120, Footprint: 48}
+	o, golden := Options{Seeds: 2, Ops: 120, Footprint: 48}, "checker_ci.golden"
 	if testing.Short() {
 		// One seed and a smaller workload: the -race sweep in CI runs with
 		// -short, where the full site fan-out is ~20x slower than native.
-		o = Options{Seeds: 1, Ops: 80, Footprint: 32}
+		o, golden = Options{Seeds: 1, Ops: 80, Footprint: 32}, "checker_ci_short.golden"
 	}
 	rep := Run(o)
 	if v := rep.Violations(); len(v) > 0 {
@@ -23,6 +27,7 @@ func TestCheckerCIMode(t *testing.T) {
 		}
 		t.Fatalf("%d violations (showing %d):\n%s", len(v), max, joinLines(v[:max]))
 	}
+	checkGolden(t, golden, rep.Table())
 	for _, res := range rep.Results {
 		if res.CrashSites == 0 {
 			t.Errorf("seed %#x: no crash sites enumerated", res.Seed)
@@ -89,4 +94,52 @@ func joinLines(v []string) string {
 		out += "  " + s + "\n"
 	}
 	return out
+}
+
+// TestShardCheckerLSRaid runs the sharded sweep over the log-structured
+// backend: the plane's crash recovery must also replay the array's L2P
+// map idempotently.
+func TestShardCheckerLSRaid(t *testing.T) {
+	rep := RunShard(Options{Seeds: 1, Ops: 96, Footprint: 32, Backend: "lsraid"})
+	if v := rep.Violations(); len(v) > 0 {
+		t.Fatalf("%d violations:\n%s", len(v), joinLines(v))
+	}
+	if res := rep.Results[0]; res.CrashSites == 0 || res.Crashes != res.CrashSites {
+		t.Fatalf("%d crashes recovered for %d crash sites", res.Crashes, res.CrashSites)
+	}
+}
+
+// TestValidateRejectsBadOptions pins the option checks the CLIs run
+// before a sweep: unchecked, each bad row panics mid-run or reports
+// thousands of spurious violations.
+func TestValidateRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string // substring of the error; "" = valid
+	}{
+		{"checker defaults", Options{}.Validate(), ""},
+		{"checker lsraid", Options{Backend: "lsraid"}.Validate(), ""},
+		{"checker rebuild", Options{Rebuild: true}.Validate(), ""},
+		{"checker cache below a set", Options{CachePages: 4}.Validate(), "below one set"},
+		{"checker footprint past the array", Options{Footprint: 5000}.Validate(), "exceeds the 768-page array"},
+		{"checker lsraid footprint past the array", Options{Footprint: 700, Backend: "lsraid"}.Validate(), "exceeds"},
+		{"checker negative footprint", Options{Footprint: -1}.Validate(), "at least 1 page"},
+		{"checker unknown backend", Options{Backend: "raid0"}.Validate(), "unknown backend"},
+		{"checker rebuild on lsraid", Options{Rebuild: true, Backend: "lsraid"}.Validate(), "rebuild scenario"},
+		{"chaos defaults", ChaosOpts{}.Validate(), ""},
+		{"chaos one kind", ChaosOpts{Kind: "ssd-kill", CachePages: 64}.Validate(), ""},
+		{"chaos footprint without a hot eighth", ChaosOpts{Footprint: 5}.Validate(), "hot eighth"},
+		{"chaos footprint past the array", ChaosOpts{Footprint: 5000}.Validate(), "exceeds the 4096-page array"},
+		{"chaos cache below a set", ChaosOpts{CachePages: 4}.Validate(), "below one set"},
+		{"chaos lane cache below a set", ChaosOpts{CachePages: 64}.Validate(), "lane cache"},
+		{"chaos unknown kind", ChaosOpts{Kind: "ssd-kill,disk-melt"}.Validate(), `"disk-melt"`},
+	} {
+		switch {
+		case tc.want == "" && tc.err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, tc.err)
+		case tc.want != "" && (tc.err == nil || !strings.Contains(tc.err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, tc.err, tc.want)
+		}
+	}
 }

@@ -1,181 +1,80 @@
 package check
 
 import (
-	"errors"
-	"fmt"
-
 	"kddcache/internal/blockdev"
 	"kddcache/internal/core"
-	"kddcache/internal/delta"
 	"kddcache/internal/lsraid"
-	"kddcache/internal/model"
-	"kddcache/internal/obs"
 	"kddcache/internal/raid"
-	"kddcache/internal/raidiface"
-	"kddcache/internal/sim"
 )
 
-// Checker stack geometry: deliberately smaller than the chaos harness so
-// the per-site replay runs (hundreds per seed) stay cheap, while still
-// exercising eviction, DEZ packing, cleaning, and parity maintenance.
-const (
-	checkDisks     = 4
-	checkDiskPages = 256
-	checkChunk     = 4
-	checkWays      = 16
-	checkMetaPages = 32
+// rebuildVictim is the member the rebuild scenario kills at Ops/3.
+const rebuildVictim = 1
 
-	// rebuildVictim is the member the rebuild scenario kills at Ops/3.
-	rebuildVictim = 1
-)
-
-// rig is one run's stack: the real KDD+RAID-5 engine on one side, the
-// reference model on the other, driven through an identical op stream.
-// All rig state is built from the seed, so a run is a pure function of
-// (seed, options, armed site) — replaying a violation needs only those.
-type rig struct {
-	o      Options
-	rng    *sim.RNG
-	mut    *delta.Mutator
-	mdl    *model.Model
-	halt   bool
-	nDisks int
-
-	members []*blockdev.NullDevice
-	arr     raidiface.Array
-	inj     *blockdev.FaultInjector // SSD-side injector
-	cfg     core.Config
-	kdd     *core.KDD
-	tr      *obs.Tracer
-
-	pendingLBA int64 // lba of the write in flight at a crash; -1 none
-	crashes    int
-	violations []string
-
-	// allowLost excuses loud data loss (ErrUnrecoverable reads, LostRows
-	// accounting) for sites where losing pages is the spec: a whole-SSD
-	// fail-stop inside the rebuild window kills the only copy of the
-	// deltas that could repair stale parity, and a stale row plus the
-	// missing member exceeds even RAID-6's two-erasure budget. The loss
-	// must still be LOUD — silent corruption is never excused.
-	allowLost bool
-}
-
-func newRig(seed uint64, o Options) *rig {
-	r := &rig{
-		o:          o,
-		rng:        sim.NewRNG(seed),
-		mut:        delta.NewMutator(seed^0xD00D, 0.25),
-		mdl:        model.New(),
-		pendingLBA: -1,
-	}
-	// The rebuild scenario runs RAID-6 with one extra member: the armed
-	// member media faults may fire INSIDE the rebuild window (one member
-	// already missing), and the checker's zero-loss assertions only hold
-	// if the geometry tolerates that second hole.
-	r.nDisks = checkDisks
-	level := raid.Level5
+// geometry is the single-core checker's stack: deliberately smaller than
+// the chaos harness's so the per-site replays (hundreds per seed) stay
+// cheap, while still exercising eviction, DEZ packing, cleaning, and
+// parity maintenance. The rebuild scenario runs RAID-6 with one extra
+// member and a parked spare: its armed member faults may fire INSIDE the
+// rebuild window (one member already missing), and the zero-loss
+// assertions only hold if the geometry tolerates that second hole.
+func (o Options) geometry() geometry {
+	g := geometry{backend: o.Backend, level: raid.Level5, disks: 4, diskPages: 256, chunk: 4,
+		segRows: 16, ways: 16, metaPages: 32, cachePages: o.CachePages}
 	if o.Rebuild {
-		r.nDisks = checkDisks + 1
-		level = raid.Level6
+		g.level, g.disks, g.spares = raid.Level6, 5, 1
 	}
-	var members []blockdev.Device
-	for i := 0; i < r.nDisks; i++ {
-		d := blockdev.NewNullDataDevice(fmt.Sprintf("d%d", i), checkDiskPages)
-		r.members = append(r.members, d)
-		members = append(members, d)
-	}
-	var arr raidiface.Array
-	switch o.Backend {
-	case "", "kdd":
-		a, err := raid.New(raid.Config{Level: level, ChunkPages: checkChunk}, members)
-		if err != nil {
-			panic(err) // static geometry; cannot fail
-		}
-		arr = a
-	case "lsraid":
-		if o.Rebuild {
-			panic("check: the rebuild scenario requires the kdd backend (RAID-6 double-fault geometry)")
-		}
-		// 256 pages / 16 rows = 16 segments of 48 data pages; the logical
-		// bound (16-2-2)*48 = 576 comfortably covers the checker footprint.
-		a, err := lsraid.New(lsraid.Config{ChunkPages: checkChunk, SegRows: 16, Seed: seed}, members)
-		if err != nil {
-			panic(err) // static geometry; cannot fail
-		}
-		arr = a
-	default:
-		panic(fmt.Sprintf("check: unknown backend %q", o.Backend))
-	}
-	r.arr = arr
-	if o.Rebuild {
-		if err := arr.AddSpare(blockdev.NewNullDataDevice("spare", checkDiskPages)); err != nil {
-			panic(err)
-		}
-	}
-	// Trace every run: crash sites that leak spans or drive counters
-	// negative are checker violations, exactly like torn writes.
-	r.tr = obs.NewTracer(obs.NewDigest())
-	arr.SetTracer(r.tr)
-	inner := blockdev.NewNullDataDevice("ssd", checkMetaPages+o.CachePages)
-	r.inj = blockdev.NewFaultInjector(inner, seed^0xFA17)
-	r.cfg = core.Config{
-		SSD:        r.inj,
-		Backend:    arr,
-		CachePages: o.CachePages,
-		Ways:       checkWays,
-		MetaStart:  0,
-		MetaPages:  checkMetaPages,
-		Codec:      delta.ZRLE{},
-		Tracer:     r.tr,
-	}
-	k, err := core.New(r.cfg)
-	if err != nil {
-		panic(err)
-	}
-	r.kdd = k
-	return r
+	return g
 }
 
-func (r *rig) violf(format string, args ...any) {
-	r.violations = append(r.violations, fmt.Sprintf(format, args...))
+// shardGeometry is the sharded sweep's stack. The plane splits the cache
+// into per-lane slices over one shared SSD and metadata log; the numbers
+// keep every lane big enough to evict and clean (16 pages, two 8-way
+// sets) while the replays stay cheap.
+func (o Options) shardGeometry() geometry {
+	return geometry{backend: o.Backend, level: raid.Level5, disks: 5, diskPages: 512, chunk: 4,
+		segRows: 16, ways: 8, metaPages: 32, cachePages: 128}
 }
 
-// lostOK reports whether err is the loud lost-page refusal and the armed
-// site makes that loss legal (see allowLost).
-func (r *rig) lostOK(err error) bool {
-	return r.allowLost && errors.Is(err, raid.ErrUnrecoverable)
-}
-
-// anyCrashed reports whether any device's armed crash point has fired.
-// Crash points model whole-node power loss, so a member's crash is the
-// node's crash: the rig recovers exactly as it does for an SSD crash.
-func (r *rig) anyCrashed() bool {
-	if r.inj.Crashed() {
-		return true
+func (o Options) kddDriver(seed uint64) (*driver, error) {
+	d, err := newDriver(seed, o.geometry())
+	if err == nil {
+		err = d.startKDD(d.coreConfig())
 	}
-	for i := 0; i < r.nDisks; i++ {
-		if r.arr.Injector(i).Crashed() {
-			return true
-		}
-	}
-	return false
+	return d, err
 }
 
-// pickLBA draws from the footprint with a hot front eighth; the draw
+// planeDriver runs the plane with coalescing off: a dropped-then-crashed
+// write pair would need a three-valued old-or-new pin, which the model
+// (correctly) rejects.
+func (o Options) planeDriver(seed uint64, shards int) (*driver, error) {
+	d, err := newDriver(seed, o.shardGeometry())
+	if err == nil {
+		err = d.startPlane(d.planeConfig(shards, false))
+	}
+	return d, err
+}
+
+// pickLBA draws from the footprint with a hot front eighth. The draw
 // count is fixed, keeping the op stream in lockstep with the profile run
-// regardless of which fault site is armed.
-func (r *rig) pickLBA() int64 {
-	hot := r.rng.Float64() < 0.5
-	n := r.rng.Uint64n(uint64(r.o.Footprint))
+// whichever fault site is armed.
+func (d *driver) pickLBA(footprint int64) int64 {
+	hot := d.rng.Float64() < 0.5
+	n := int64(d.rng.Uint64n(uint64(footprint)))
 	if hot {
-		return int64(n) / 8
+		return n / 8
 	}
-	return int64(n)
+	return n
 }
 
-// runOps replays the seeded workload, recovering whenever the armed
-// crash site fires.
+// rig is one single-core checker run: the real KDD engine and the model,
+// driven through an identical op stream.
+type rig struct {
+	*driver
+	o Options
+}
+
+// runOps replays the seeded workload, recovering (twice, digests
+// compared) whenever the armed crash site fires.
 func (r *rig) runOps() {
 	for i := 0; i < r.o.Ops && !r.halt; i++ {
 		if r.o.Rebuild && i == r.o.Ops/3 {
@@ -184,156 +83,19 @@ func (r *rig) runOps() {
 			// the remaining workload (and under whatever site is armed).
 			r.arr.FailDisk(rebuildVictim)
 		}
-		lba := r.pickLBA()
-		if r.rng.Float64() < 0.6 {
-			r.doWrite(lba)
-		} else {
-			r.doRead(lba)
-		}
-		if r.anyCrashed() {
-			r.restore()
+		if r.step(r.pickLBA(r.o.Footprint)) {
+			r.restore(2)
 		}
 	}
 }
 
-// foldRetry reports whether err is the loud stale-parity refusal, folding
-// the pending deltas so the caller can retry.
-func (r *rig) foldRetry(err error) bool {
-	if !errors.Is(err, raid.ErrStaleParity) {
-		return false
-	}
-	if _, cerr := r.kdd.Clean(0, true); cerr != nil {
-		r.violf("fold after stale-parity refusal: %v", cerr)
-		return false
-	}
-	return true
-}
-
-// doWrite writes the next version of lba: a mutation of the model's
-// current content, or a fresh random page for first touches. Mutate and
-// FillRandom consume fixed draw counts, so content generation stays
-// deterministic across sites even after an old-or-new pin diverges the
-// page's bytes from the profile run.
-func (r *rig) doWrite(lba int64) {
-	if _, ok := r.mdl.Value(lba); !ok {
-		// An unresolved in-flight write should have been pinned by the
-		// post-recovery read; reaching here is a checker bug.
-		r.violf("write %d while the model is unresolved", lba)
-		return
-	}
-	page := make([]byte, blockdev.PageSize)
-	if v, _ := r.mdl.Value(lba); v != nil {
-		copy(page, v)
-		r.mut.Mutate(page)
-	} else {
-		r.mut.FillRandom(page)
-	}
-	_, err := r.kdd.Write(0, lba, page)
-	if err != nil && r.foldRetry(err) {
-		_, err = r.kdd.Write(0, lba, page)
-	}
-	if err == nil {
-		r.mdl.Write(lba, page)
-		return
-	}
-	if r.anyCrashed() {
-		// The crash hit mid-write: the page may legally resolve to either
-		// version, pinned at the first post-recovery read.
-		r.mdl.CrashWrite(lba, page)
-		r.pendingLBA = lba
-		return
-	}
-	if r.lostOK(err) {
-		return // the page was declared lost; the model keeps its old value
-	}
-	r.violf("write %d failed: %v", lba, err)
-}
-
-// doRead reads lba through the cache and cross-checks the model (pinning
-// any in-flight write to the observed version).
-func (r *rig) doRead(lba int64) {
-	buf := make([]byte, blockdev.PageSize)
-	_, err := r.kdd.Read(0, lba, buf)
-	if err != nil && r.foldRetry(err) {
-		_, err = r.kdd.Read(0, lba, buf)
-	}
-	if err != nil {
-		if r.anyCrashed() {
-			return // the crash interrupted the read; recovery handles it
-		}
-		if r.lostOK(err) {
-			return
-		}
-		r.violf("read %d failed: %v", lba, err)
-		return
-	}
-	if err := r.mdl.Check(lba, buf); err != nil {
-		r.violf("read %d: %v", lba, err)
-	}
-}
-
-// restore recovers from the fired crash point: snapshot the NVRAM state,
-// restore TWICE from the identical snapshot and compare state digests
-// (metadata-log replay must be idempotent), then pin the interrupted
-// write via its first post-recovery read.
-func (r *rig) restore() {
-	r.crashes++
-	ctr := r.kdd.Log().Counters()
-	buffered := r.kdd.Log().BufferedEntries()
-	staging := r.kdd.Staging()
-	r.inj.ClearCrash()
-	for i := 0; i < r.nDisks; i++ {
-		r.arr.Injector(i).ClearCrash()
-	}
-	// The rebuild watermark is volatile array state: a power failure
-	// wipes it, and Restore must resume from the NVRAM checkpoint alone.
-	r.arr.CrashRebuildState()
-	// The log-structured backend rebuilds its whole L2P map from the
-	// NVRAM segment summaries on that same call: replay must be
-	// idempotent and land in an invariant-clean state.
-	if la, ok := r.arr.(*lsraid.Array); ok {
-		d1 := la.StateDigest()
-		la.CrashRebuildState()
-		if d2 := la.StateDigest(); d1 != d2 {
-			r.violf("lsraid replay not idempotent: %016x vs %016x", d1, d2)
-		}
-		if err := la.CheckInvariants(); err != nil {
-			r.violf("lsraid post-replay invariants: %v", err)
-		}
-	}
-	k1, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("restore after crash: %v", err)
-		r.halt = true
-		return
-	}
-	k2, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("second restore from the same NVRAM snapshot: %v", err)
-		r.halt = true
-		return
-	}
-	if d1, d2 := k1.StateDigest(), k2.StateDigest(); d1 != d2 {
-		r.violf("recovery not idempotent: state digest %016x vs %016x", d1, d2)
-	}
-	r.kdd = k2
-	if err := r.kdd.CheckInvariants(); err != nil {
-		r.violf("post-restore invariants: %v", err)
-	}
-	r.checkObs("post-restore")
-	if lba := r.pendingLBA; lba >= 0 {
-		r.pendingLBA = -1
-		r.doRead(lba) // pins old-or-new in the model, or flags torn content
-	}
-}
-
-// verify is the post-workload integrity chain: invariants, model-checked
-// cache reads over the whole footprint, flush, stale-row accounting, a
-// patrol scrub, direct array reads against the model, a per-page checksum
-// sweep of every store, and a degraded re-read proving parity actually
-// reconstructs the data.
+// verify is the post-workload integrity chain: invariants, the rebuild
+// driven to completion, model-checked cache reads over the footprint,
+// flush, stale-row accounting, a patrol scrub, direct array reads, a
+// checksum sweep of every store, a degraded re-read proving parity
+// reconstructs, and — with the SSD dead — a recovery proof.
 func (r *rig) verify() {
-	if err := r.kdd.CheckInvariants(); err != nil {
+	if err := r.eng.CheckInvariants(); err != nil {
 		r.violf("invariants: %v", err)
 	}
 	if la, ok := r.arr.(*lsraid.Array); ok {
@@ -341,8 +103,8 @@ func (r *rig) verify() {
 			r.violf("lsraid invariants: %v", err)
 		}
 	}
-	// Drive any in-flight rebuild to completion: the checks below (flush,
-	// scrub, content sweep, degraded proof) all assume full redundancy.
+	// The checks below (flush, scrub, content sweep, degraded proof) all
+	// assume full redundancy.
 	for r.arr.RebuildActive() {
 		_, _, complete, err := r.arr.RebuildStep(0, 64)
 		if err != nil {
@@ -358,18 +120,8 @@ func (r *rig) verify() {
 			r.violf("rebuild window lost rows %v despite double-fault tolerance", lost)
 		}
 	}
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
-		r.doRead(lba)
-	}
-	if _, err := r.kdd.Flush(0); err != nil {
-		r.violf("flush: %v", err)
+	if !r.readFlushed(r.o.Footprint) {
 		return
-	}
-	if n := r.arr.StaleRows(); n != 0 {
-		r.violf("%d stale rows after flush", n)
-	}
-	if err := r.kdd.CheckInvariants(); err != nil {
-		r.violf("post-flush invariants: %v", err)
 	}
 	_, rep, err := r.arr.Scrub(0)
 	if err != nil {
@@ -379,147 +131,87 @@ func (r *rig) verify() {
 	if len(rep.Unrecoverable) > 0 && !r.allowLost {
 		r.violf("scrub reported unrecoverable rows %v", rep.Unrecoverable)
 	}
-	zero := make([]byte, blockdev.PageSize)
-	buf := make([]byte, blockdev.PageSize)
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
-		want, ok := r.mdl.Value(lba)
-		if !ok {
-			r.violf("page %d still unresolved at verify", lba)
-			continue
-		}
-		if want == nil {
-			want = zero
-		}
-		if _, err := r.arr.ReadPages(0, lba, 1, buf); err != nil {
-			if r.lostOK(err) {
-				continue
-			}
-			r.violf("array read %d: %v", lba, err)
-			continue
-		}
-		if !bytesEqual(buf, want) {
-			r.violf("array content mismatch at %d", lba)
-		}
-	}
+	r.sweepArray(r.o.Footprint, "array")
 	r.sweepChecksums()
-	if !r.arr.Healthy() {
-		return
+	if r.arr.Healthy() {
+		r.degradedProof(r.o.Footprint)
 	}
-	// Degraded proof: drop one member and re-read the footprint through
-	// reconstruction; wrong parity anywhere shows up as a mismatch.
-	r.arr.FailDisk(r.rng.Intn(r.nDisks))
-	for lba := int64(0); lba < r.o.Footprint; lba++ {
-		want, _ := r.mdl.Value(lba)
-		if want == nil {
-			want = zero
-		}
-		if _, err := r.arr.ReadPages(0, lba, 1, buf); err != nil {
-			if r.lostOK(err) {
-				continue
-			}
-			r.violf("degraded read %d: %v", lba, err)
-			continue
-		}
-		if !bytesEqual(buf, want) {
-			r.violf("degraded reconstruction mismatch at %d", lba)
-		}
-	}
+	r.verifyBypassRestore()
 }
 
 // verifyBypassRestore proves recovery is safe and idempotent while the
 // cache device is dead. Entering pass-through re-initialised the metadata
-// log to empty (NVRAM counters only — no device I/O), so Restore from the
-// NVRAM snapshot must come up as a fresh empty cache without touching the
-// failed SSD, twice, with identical state digests, and a read through the
+// log to empty (NVRAM counters only — no device I/O), so a restore from
+// the NVRAM snapshot must come up as a fresh empty cache without touching
+// the failed SSD, twice, with identical digests, and a read through the
 // restored instance must still be served from the RAID.
 func (r *rig) verifyBypassRestore() {
-	if r.kdd.Health() != core.HealthBypass {
+	if r.kdd().Health() != core.HealthBypass {
 		return
 	}
-	ctr := r.kdd.Log().Counters()
-	buffered := r.kdd.Log().BufferedEntries()
-	staging := r.kdd.Staging()
-	k1, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("restore with dead ssd: %v", err)
+	k := r.reopen(r.snapshot(), 2, "dead-ssd recovery")
+	if k == nil {
 		return
-	}
-	k2, _, err := core.Restore(r.cfg, 0, ctr, buffered, staging)
-	if err != nil {
-		r.violf("second restore with dead ssd: %v", err)
-		return
-	}
-	if d1, d2 := k1.StateDigest(), k2.StateDigest(); d1 != d2 {
-		r.violf("dead-ssd recovery not idempotent: state digest %016x vs %016x", d1, d2)
 	}
 	buf := make([]byte, blockdev.PageSize)
-	if _, err := k2.Read(0, 0, buf); err != nil {
+	if _, err := k.Read(0, 0, buf); err != nil {
 		if !r.lostOK(err) {
 			r.violf("read through dead-ssd-restored instance: %v", err)
 		}
 	} else if err := r.mdl.Check(0, buf); err != nil {
 		r.violf("dead-ssd-restored read 0: %v", err)
 	}
-	prev := r.kdd
-	r.kdd = k2
+	live := r.eng
+	r.eng = k
 	r.checkObs("dead-ssd restore")
-	r.kdd = prev
+	r.eng = live
 }
 
-// checkObs asserts the observability layer survived whatever just
-// happened: no span may be leaked open, the tracer recorded no structural
-// error, and a metrics snapshot of the current instance must validate
-// (no negative counters, no NaN gauges).
-func (r *rig) checkObs(when string) {
-	if n := r.tr.OpenSpans(); n != 0 {
-		r.violf("%s: %d spans leaked open", when, n)
-	}
-	if err := r.tr.Err(); err != nil {
-		r.violf("%s: trace integrity: %v", when, err)
-	}
-	reg := obs.NewRegistry()
-	r.kdd.PublishMetrics(reg)
-	obs.PublishCacheStats(reg, r.kdd.Stats())
-	r.arr.PublishMetrics(reg)
-	if err := reg.Validate(); err != nil {
-		r.violf("%s: metrics registry: %v", when, err)
-	}
+// shardSweepWidths cycles the plane's execution width across seeds. In
+// deterministic mode the width cannot change the device-op trace (the
+// plane's central contract), so each seed picks one width and the sweep
+// still covers every grouping the plane supports.
+var shardSweepWidths = []int{1, 2, 4, 8}
+
+// shardBatch is the plane batch size: big enough that several lanes hold
+// buffered metadata entries when a crash fires mid-batch — the
+// interleaved-batches-in-flight state the sharded sweep exists to crash
+// into.
+const shardBatch = 16
+
+// shardRig is one sharded-plane checker run.
+type shardRig struct {
+	*driver
+	o Options
 }
 
-// sweepChecksums verifies every page checksum on every store: corruption
-// a fault left behind must never sit undetected on a medium.
-func (r *rig) sweepChecksums() {
-	if st := r.inj.Store(); st != nil {
-		for p := int64(0); p < checkMetaPages+r.o.CachePages; p++ {
-			if !st.VerifyPage(p) {
-				r.violf("ssd checksum mismatch at page %d", p)
-			}
-		}
-	}
-	// Sweep through the injectors, not r.members: a spare attach swaps the
-	// medium behind member rebuildVictim's injector, and it is the medium
-	// actually serving reads that must checksum.
-	for i := 0; i < r.nDisks; i++ {
-		st := r.arr.Injector(i).Store()
-		if st == nil {
-			continue
-		}
-		for p := int64(0); p < checkDiskPages; p++ {
-			if !st.VerifyPage(p) {
-				r.violf("disk %d checksum mismatch at page %d", i, p)
-			}
+// runOps replays the seeded batched workload; in-batch writes to one LBA
+// chain, exactly what the device holds if both execute.
+func (r *shardRig) runOps() {
+	batches := max(1, r.o.Ops/shardBatch)
+	pick := func() int64 { return r.pickLBA(r.o.Footprint) }
+	for b := 0; b < batches && !r.halt; b++ {
+		if r.runBatch(0, r.planBatch(shardBatch, pick, true)) {
+			r.restore(2)
 		}
 	}
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
+// verify quiesces (lane flushes plus the final metadata barrier), then
+// checks invariants, model-checked reads of the footprint through the
+// plane, stale-row accounting, direct array reads, and every checksum.
+func (r *shardRig) verify() {
+	if _, err := r.plane().Quiesce(0); err != nil {
+		r.violf("quiesce: %v", err)
+		return
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if err := r.eng.CheckInvariants(); err != nil {
+		r.violf("invariants: %v", err)
 	}
-	return true
+	r.readAll(r.o.Footprint)
+	if n := r.arr.StaleRows(); n != 0 {
+		r.violf("%d stale rows after quiesce", n)
+	}
+	r.sweepArray(r.o.Footprint, "array")
+	r.sweepChecksums()
 }

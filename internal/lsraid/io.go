@@ -202,7 +202,7 @@ func (a *Array) commitRow(t sim.Time) (done sim.Time, err error) {
 		parity = blockdev.GetZeroPage()
 		defer blockdev.PutPage(parity)
 		for _, e := range entries {
-			xorInto(parity, e.data)
+			raid.XorInto(parity, e.data)
 		}
 	}
 	for k, e := range entries {
@@ -383,7 +383,7 @@ func (a *Array) readSurvivor(t sim.Time, disk int, row int64, tmp, acc []byte) (
 		return done, err
 	}
 	if acc != nil {
-		xorInto(acc, tmp)
+		raid.XorInto(acc, tmp)
 	}
 	return done, nil
 }
@@ -440,28 +440,5 @@ func pageBuf(buf []byte, i int) []byte {
 func zero(b []byte) {
 	for i := range b {
 		b[i] = 0
-	}
-}
-
-// xorInto folds src into dst word-at-a-time. src may be nil (timing
-// mode), which contributes nothing.
-func xorInto(dst, src []byte) {
-	if dst == nil || src == nil {
-		return
-	}
-	_ = dst[len(src)-1]
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		dst[i] ^= src[i]
-		dst[i+1] ^= src[i+1]
-		dst[i+2] ^= src[i+2]
-		dst[i+3] ^= src[i+3]
-		dst[i+4] ^= src[i+4]
-		dst[i+5] ^= src[i+5]
-		dst[i+6] ^= src[i+6]
-		dst[i+7] ^= src[i+7]
-	}
-	for ; i < len(src); i++ {
-		dst[i] ^= src[i]
 	}
 }

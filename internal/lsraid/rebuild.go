@@ -186,7 +186,7 @@ func (a *Array) rebuildRow(t sim.Time, target int, row int64) (sim.Time, error) 
 		}
 		done = sim.MaxTime(done, c)
 		if acc != nil {
-			xorInto(acc, tmp)
+			raid.XorInto(acc, tmp)
 		}
 	}
 	a.stats.RebuildWrite++

@@ -91,7 +91,7 @@ func (a *Array) scrubRow(t sim.Time, row int64, pages [][]byte, rep *raid.ScrubR
 			defer blockdev.PutPage(acc)
 			for d := 0; d < n; d++ {
 				if d != bad {
-					xorInto(acc, pages[d])
+					raid.XorInto(acc, pages[d])
 				}
 			}
 			copy(pages[bad], acc)
@@ -111,7 +111,7 @@ func (a *Array) scrubRow(t sim.Time, row int64, pages [][]byte, rep *raid.ScrubR
 		x := blockdev.GetZeroPage()
 		defer blockdev.PutPage(x)
 		for d := 0; d < n; d++ {
-			xorInto(x, pages[d])
+			raid.XorInto(x, pages[d])
 		}
 		if !allZero(x) {
 			pd := a.parityDisk(row)
@@ -119,7 +119,7 @@ func (a *Array) scrubRow(t sim.Time, row int64, pages [][]byte, rep *raid.ScrubR
 			defer blockdev.PutPage(p)
 			for d := 0; d < n; d++ {
 				if d != pd {
-					xorInto(p, pages[d])
+					raid.XorInto(p, pages[d])
 				}
 			}
 			c, werr := a.disks[pd].WritePages(done, row, 1, p)

@@ -82,3 +82,24 @@ func TestFootprintIncludesInflight(t *testing.T) {
 		t.Fatalf("footprint = %v, want [3 8]", fp)
 	}
 }
+
+func TestWrittenKeepsFirstResolvedOrder(t *testing.T) {
+	m := New()
+	m.Write(5, page(1))
+	m.CrashWrite(2, page(2))
+	m.Write(9, page(3))
+	m.Write(5, page(4))
+	if err := m.Check(2, make([]byte, 64)); err != nil {
+		t.Fatalf("pin to old zeros rejected: %v", err)
+	}
+	got := m.Written()
+	want := []int64{5, 9, 2}
+	if len(got) != len(want) {
+		t.Fatalf("Written() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Written() = %v, want %v", got, want)
+		}
+	}
+}

@@ -72,7 +72,7 @@ func BenchmarkParityP(b *testing.B) {
 			p[j] = 0
 		}
 		for _, d := range pages {
-			xorInto(p, d)
+			XorInto(p, d)
 		}
 	}
 }

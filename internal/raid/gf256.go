@@ -63,14 +63,13 @@ func gfPow(n int) byte {
 	return gfExp[n]
 }
 
-// xorInto dst ^= src for page-sized buffers.
-func xorInto(dst, src []byte) {
+// XorInto folds src into dst (dst ^= src) over the shorter of the two,
+// so a nil buffer (timing mode) contributes nothing. It is the one XOR
+// kernel of both array backends.
+func XorInto(dst, src []byte) {
 	// 8-byte-at-a-time XOR; the compiler lowers this loop well and it
 	// avoids unsafe. Tail handled byte-wise.
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
+	n := min(len(dst), len(src))
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		dst[i] ^= src[i]
@@ -93,7 +92,7 @@ func gfMulInto(dst, src []byte, c byte) {
 		return
 	}
 	if c == 1 {
-		xorInto(dst, src)
+		XorInto(dst, src)
 		return
 	}
 	logC := int(gfLog[c])

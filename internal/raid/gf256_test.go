@@ -93,9 +93,9 @@ func TestXorInto(t *testing.T) {
 	for i := range a {
 		want[i] = a[i] ^ b[i]
 	}
-	xorInto(a, b)
+	XorInto(a, b)
 	if !bytes.Equal(a, want) {
-		t.Fatalf("xorInto = %v, want %v", a, want)
+		t.Fatalf("XorInto = %v, want %v", a, want)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestXorIntoSelfInverse(t *testing.T) {
 		}
 		orig := make([]byte, len(a))
 		copy(orig, a)
-		xorInto(a, b)
-		xorInto(a, b)
+		XorInto(a, b)
+		XorInto(a, b)
 		return bytes.Equal(a, orig)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -463,7 +463,7 @@ func (a *Array) rebuildDamagedRow(t sim.Time, target int, rl rowLoc) (sim.Time, 
 		}
 		done = sim.MaxTime(done, c)
 		if dataMode {
-			xorInto(p, tmp)
+			XorInto(p, tmp)
 			if q != nil {
 				gfMulInto(q, tmp, gfPow(i))
 			}

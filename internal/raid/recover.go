@@ -151,7 +151,7 @@ func (a *Array) reconstructXOR(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Ti
 		}
 		done = sim.MaxTime(done, c)
 		if buf != nil {
-			xorInto(buf, tmp)
+			XorInto(buf, tmp)
 		}
 	}
 	if a.missing(rl.pDisk, l.row) {
@@ -163,7 +163,7 @@ func (a *Array) reconstructXOR(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Ti
 	}
 	done = sim.MaxTime(done, c)
 	if buf != nil {
-		xorInto(buf, tmp)
+		XorInto(buf, tmp)
 	}
 	return done, nil
 }
@@ -206,7 +206,7 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 		}
 		done = sim.MaxTime(done, c)
 		if data {
-			xorInto(pAcc, tmp)
+			XorInto(pAcc, tmp)
 			gfMulInto(qAcc, tmp, gfPow(i))
 		}
 	}
@@ -217,7 +217,7 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 		}
 		done = sim.MaxTime(done, c)
 		if data {
-			xorInto(pAcc, tmp)
+			XorInto(pAcc, tmp)
 		}
 	}
 	if qOK {
@@ -227,7 +227,7 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 		}
 		done = sim.MaxTime(done, c)
 		if data {
-			xorInto(qAcc, tmp)
+			XorInto(qAcc, tmp)
 		}
 	}
 
@@ -256,7 +256,7 @@ func (a *Array) reconstructRS(t sim.Time, l loc, rl rowLoc, buf []byte) (sim.Tim
 		if l.dataIdx == x {
 			copy(buf, dx)
 		} else {
-			xorInto(pAcc, dx) // D_y = pAcc ⊕ D_x
+			XorInto(pAcc, dx) // D_y = pAcc ⊕ D_x
 			copy(buf, pAcc)
 		}
 	default:
@@ -317,7 +317,7 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 			var diff []byte
 			if data {
 				diff = old
-				xorInto(diff, buf)
+				XorInto(diff, buf)
 			}
 			c, err := a.applyParityDiff(t, l, rl, diff, pOK, qOK)
 			if err != nil {
@@ -373,7 +373,7 @@ func (a *Array) degradedWrite(t sim.Time, l loc, buf []byte) (sim.Time, error) {
 		}
 		done = sim.MaxTime(done, c)
 		if data {
-			xorInto(p, tmp)
+			XorInto(p, tmp)
 			if q != nil {
 				gfMulInto(q, tmp, gfPow(i))
 			}
@@ -441,7 +441,7 @@ func (a *Array) degradedWriteTwoMissing(t sim.Time, l loc, rl rowLoc, buf []byte
 			defer blockdev.PutPage(q)
 		}
 		for i := range st.data {
-			xorInto(p, st.data[i])
+			XorInto(p, st.data[i])
 			if q != nil {
 				gfMulInto(q, st.data[i], gfPow(i))
 			}
@@ -502,7 +502,7 @@ func (a *Array) applyParityDiff(t sim.Time, l loc, rl rowLoc, diff []byte, pOK, 
 			return t, err
 		}
 		if data {
-			xorInto(p, diff)
+			XorInto(p, diff)
 		}
 		a.stats.ParityWrites++
 		c, err = a.disks[rl.pDisk].WritePages(c, l.row, 1, p)
@@ -623,7 +623,7 @@ func (a *Array) resyncRow(t sim.Time, row int64) (sim.Time, error) {
 		}
 		phase1 = sim.MaxTime(phase1, c)
 		if dataMode {
-			xorInto(p, tmp)
+			XorInto(p, tmp)
 			if q != nil {
 				gfMulInto(q, tmp, gfPow(i))
 			}

@@ -152,7 +152,7 @@ func (a *Array) solveRow(st *rowState) error {
 			copy(dx, st.p)
 			for i := 0; i < dc; i++ {
 				if i != x {
-					xorInto(dx, st.data[i])
+					XorInto(dx, st.data[i])
 				}
 			}
 		case st.rl.qDisk >= 0 && !st.missingQ:
@@ -183,7 +183,7 @@ func (a *Array) solveRow(st *rowState) error {
 		copy(qAcc, st.q)
 		for i := 0; i < dc; i++ {
 			if i != x && i != y {
-				xorInto(pAcc, st.data[i])
+				XorInto(pAcc, st.data[i])
 				gfMulInto(qAcc, st.data[i], gfPow(i))
 			}
 		}
@@ -194,7 +194,7 @@ func (a *Array) solveRow(st *rowState) error {
 		gfScale(dx, qAcc, gfInv(gx^gy))
 		dy := blockdev.GetPage() // fully assigned by the copy
 		copy(dy, pAcc)
-		xorInto(dy, dx)
+		XorInto(dy, dx)
 		st.data[x], st.data[y] = dx, dy
 		blockdev.PutPage(pAcc)
 		blockdev.PutPage(qAcc)
@@ -204,7 +204,7 @@ func (a *Array) solveRow(st *rowState) error {
 	if st.rl.pDisk >= 0 && st.missingP {
 		st.p = blockdev.GetZeroPage()
 		for i := 0; i < dc; i++ {
-			xorInto(st.p, st.data[i])
+			XorInto(st.p, st.data[i])
 		}
 	}
 	if st.rl.qDisk >= 0 && st.missingQ {
@@ -433,7 +433,7 @@ func (a *Array) scrubParityRow(t sim.Time, rl rowLoc, rep *ScrubReport) (sim.Tim
 		defer blockdev.PutPage(expQ)
 	}
 	for i := range st.data {
-		xorInto(expP, st.data[i])
+		XorInto(expP, st.data[i])
 		if expQ != nil {
 			gfMulInto(expQ, st.data[i], gfPow(i))
 		}
