@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate obs-test shard-test qos-test lsraid-test ci clean
+.PHONY: all build vet test race chaos chaos-ssd chaos-rebuild check mutate fuzz cover bench-harness bench-gate bench-layers obs-test shard-test qos-test lsraid-test ci clean
 
 all: ci
 
@@ -129,6 +129,13 @@ bench-harness:
 # sharply against the last comparable trajectory entry.
 bench-gate:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
+
+# Per-layer micro-benchmarks (ns/op, allocs/op): the cache frame's
+# recency lists, the metadata log, RAID parity, delta codecs, the FTL and
+# span recording. BENCHTIME=1x runs each once as a compile-and-run smoke.
+LAYER_PKGS = ./internal/cache/ ./internal/metalog/ ./internal/raid/ ./internal/delta/ ./internal/ssd/ ./internal/obs/
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem $(if $(BENCHTIME),-benchtime $(BENCHTIME)) $(LAYER_PKGS)
 
 ci: vet build test race obs-test shard-test qos-test lsraid-test chaos-ssd chaos-rebuild check mutate cover bench-gate
 

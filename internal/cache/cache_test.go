@@ -118,15 +118,18 @@ func TestFrameLRUEviction(t *testing.T) {
 		slots = append(slots, s)
 	}
 	f.Touch(slots[0]) // make slot 0 most recent
-	victim := f.EvictLRU(0, cache.Clean)
+	victim := f.EvictLRU(0)
 	if victim == slots[0] {
 		t.Fatal("LRU evicted the most recently used slot")
 	}
 	if victim != slots[1] {
 		t.Fatalf("victim = %d, want %d", victim, slots[1])
 	}
-	if f.EvictLRU(0, cache.Old) != cache.NoSlot {
-		t.Fatal("evicted a state not present")
+	for _, s := range slots {
+		f.Transition(s, cache.Old)
+	}
+	if f.EvictLRU(0) != cache.NoSlot {
+		t.Fatal("evicted a non-Clean slot")
 	}
 }
 

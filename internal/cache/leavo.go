@@ -101,7 +101,7 @@ func (l *LeavO) Read(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 }
 
 func (l *LeavO) fillLeavO(done sim.Time, lba int64, buf []byte) {
-	slot := l.allocOrEvict(done, lba, Clean)
+	slot := l.allocOrEvict(done, lba)
 	if slot == NoSlot {
 		return
 	}
@@ -156,7 +156,7 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		// Pin the current copy as Old first so the eviction scan for the
 		// new version's slot can never pick it.
 		l.frame.Transition(slot, Old)
-		newSlot := l.allocOrEvict(t, lba, Clean)
+		newSlot := l.allocOrEvict(t, lba)
 		if newSlot == NoSlot {
 			// No room for a second version: revert and degrade to
 			// write-through for this request.
@@ -198,7 +198,7 @@ func (l *LeavO) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 			return t, err
 		}
 		var ssdDone sim.Time
-		if s := l.allocOrEvict(t, lba, Clean); s != NoSlot {
+		if s := l.allocOrEvict(t, lba); s != NoSlot {
 			l.frame.Insert(lba, s, Clean)
 			l.st.WriteAllocs++
 			ssdDone, err = l.writeSlot(t, s, buf)

@@ -68,7 +68,7 @@ func (w *WB) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		w.frame.Touch(slot)
 	} else {
 		w.st.WriteMiss++
-		slot = w.allocOrEvict(t, lba, Clean)
+		slot = w.allocOrEvict(t, lba)
 		if slot == NoSlot {
 			// No cacheable slot: degrade to a direct RAID write.
 			w.st.RAIDWrites++

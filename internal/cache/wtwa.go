@@ -47,14 +47,14 @@ func (b *base) trimSlot(t sim.Time, slot int32) {
 	}
 }
 
-// allocOrEvict finds a slot in lba's set: a free one, else the LRU slot
-// among evictable states. Returns NoSlot if nothing can be evicted.
-func (b *base) allocOrEvict(t sim.Time, lba int64, evictable ...State) int32 {
+// allocOrEvict finds a slot in lba's set: a free one, else the evicted
+// LRU Clean slot. Returns NoSlot if nothing can be evicted.
+func (b *base) allocOrEvict(t sim.Time, lba int64) int32 {
 	set := b.frame.SetOf(lba)
 	if s := b.frame.AllocFree(set); s != NoSlot {
 		return s
 	}
-	s := b.frame.EvictLRU(set, evictable...)
+	s := b.frame.EvictLRU(set)
 	if s == NoSlot {
 		return NoSlot
 	}
@@ -74,7 +74,7 @@ func (b *base) Frame() *Frame { return b.frame }
 // The SSD program is issued at `done` (data already in hand) and does not
 // extend request latency.
 func (b *base) fillOnMiss(done sim.Time, lba int64, buf []byte) {
-	slot := b.allocOrEvict(done, lba, Clean)
+	slot := b.allocOrEvict(done, lba)
 	if slot == NoSlot {
 		return // set pinned solid; serve uncached
 	}
@@ -134,7 +134,7 @@ func (w *WT) Write(t sim.Time, lba int64, buf []byte) (sim.Time, error) {
 		ssdDone, err = w.writeSlot(t, slot, buf)
 	} else {
 		w.st.WriteMiss++
-		slot = w.allocOrEvict(t, lba, Clean)
+		slot = w.allocOrEvict(t, lba)
 		if slot != NoSlot {
 			w.frame.Insert(lba, slot, Clean)
 			w.st.WriteAllocs++

@@ -425,7 +425,7 @@ func (k *KDD) trimSlot(t sim.Time, slot int32) {
 // evictClean frees the LRU Clean slot in the set (logging the free
 // entry), or returns NoSlot if the set holds no evictable page.
 func (k *KDD) evictClean(t sim.Time, set int) int32 {
-	s := k.frame.EvictLRU(set, cache.Clean)
+	s := k.frame.EvictLRU(set)
 	if s == cache.NoSlot {
 		return cache.NoSlot
 	}
