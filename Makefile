@@ -131,9 +131,11 @@ bench-gate:
 	$(GO) run ./cmd/harnessbench -scale $(or $(BENCH_SCALE),0.01) -o BENCH_harness.json -gate
 
 # Per-layer micro-benchmarks (ns/op, allocs/op): the cache frame's
-# recency lists, the metadata log, RAID parity, delta codecs, the FTL and
-# span recording. BENCHTIME=1x runs each once as a compile-and-run smoke.
-LAYER_PKGS = ./internal/cache/ ./internal/metalog/ ./internal/raid/ ./internal/delta/ ./internal/ssd/ ./internal/obs/
+# recency lists, the metadata log, RAID parity, delta codecs, the FTL,
+# span recording, the disk seek curve, NVRAM delta staging and the fault
+# injector's pass-through. BENCHTIME=1x runs each once as a
+# compile-and-run smoke.
+LAYER_PKGS = ./internal/cache/ ./internal/metalog/ ./internal/raid/ ./internal/delta/ ./internal/ssd/ ./internal/obs/ ./internal/hdd/ ./internal/nvram/ ./internal/blockdev/
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(if $(BENCHTIME),-benchtime $(BENCHTIME)) $(LAYER_PKGS)
 

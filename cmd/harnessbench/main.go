@@ -4,6 +4,8 @@
 // the observability overhead of the span tracer. Each run APPENDS one
 // entry to a trajectory file (BENCH_harness.json by default) so the
 // perf history across PRs is reviewable in one place; CI archives it.
+// Each entry names its host (CPU model, core count, Go version,
+// GOOS/GOARCH) so a reader compares numbers within one host class.
 //
 // GOMAXPROCS is raised to at least the pool width before timing: a
 // parallel-vs-serial comparison on one scheduler thread measures
@@ -22,11 +24,14 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"kddcache/internal/check"
@@ -81,9 +86,21 @@ type lsraidResult struct {
 	LsWriteAmp  float64 `json:"lsraid_write_amp"`
 }
 
+// hostInfo identifies the machine an entry was measured on, so wall
+// clocks are read against entries from the same host class. Entries
+// written before it existed have no host.
+type hostInfo struct {
+	CPU       string `json:"cpu,omitempty"`
+	NProc     int    `json:"nproc"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+}
+
 // benchEntry is one trajectory point: a full harnessbench run.
 type benchEntry struct {
 	Time        string             `json:"time,omitempty"`
+	Host        *hostInfo          `json:"host,omitempty"`
 	Scale       float64            `json:"scale"`
 	Parallel    int                `json:"parallel"`
 	GOMAXPROCS  int                `json:"gomaxprocs"`
@@ -130,6 +147,7 @@ func main() {
 	}
 	entry := benchEntry{
 		Time:       time.Now().UTC().Format(time.RFC3339),
+		Host:       currentHost(),
 		Scale:      *scale,
 		Parallel:   width,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -308,6 +326,35 @@ func main() {
 	if len(gateErrs) > 0 {
 		os.Exit(1)
 	}
+}
+
+// currentHost describes the running machine. The CPU model comes from
+// /proc/cpuinfo and is left empty where that file does not exist.
+func currentHost() *hostInfo {
+	h := &hostInfo{
+		NProc:     runtime.NumCPU(),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		h.CPU = cpuModel(f)
+		f.Close()
+	}
+	return h
+}
+
+// cpuModel returns the first "model name" value of a /proc/cpuinfo
+// listing, or "" when there is none.
+func cpuModel(r io.Reader) string {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // timeOverhead runs one arm of the obs-overhead comparison.

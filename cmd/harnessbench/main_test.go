@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -53,6 +54,44 @@ func TestTrajectoryRoundTripAndLegacyMigration(t *testing.T) {
 	}
 	if got := readEntries(path); got != nil {
 		t.Fatalf("garbage file read as %d entries, want none", len(got))
+	}
+}
+
+// Entries carry the host they were measured on; entries written before
+// the field existed still decode, with no host.
+func TestHostIdentity(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bench.json")
+	legacy := `{"entries":[{"time":"2026-01-01T00:00:00Z","scale":0.01,"parallel":1,"gomaxprocs":1,
+		"experiments":[{"name":"fig6","serial_sec":4,"parallel_sec":4,"speedup":1,"identical":true}]}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries := readEntries(path)
+	if len(entries) != 1 || entries[0].Host != nil || len(entries[0].Experiments) != 1 {
+		t.Fatalf("legacy entry without host read as %+v", entries)
+	}
+
+	cur := entry(0.01, 1, 1, 4)
+	cur.Host = currentHost()
+	if cur.Host.NProc < 1 || cur.Host.GoVersion == "" || cur.Host.GOOS == "" || cur.Host.GOARCH == "" {
+		t.Fatalf("currentHost() = %+v", cur.Host)
+	}
+	writeEntries(path, append(entries, cur))
+	got := readEntries(path)
+	if len(got) != 2 || got[0].Host != nil || got[1].Host == nil || *got[1].Host != *cur.Host {
+		t.Fatalf("host lost in round trip: %+v", got)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	cpuinfo := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n\n" +
+		"processor\t: 1\nmodel name\t: Intel(R) Xeon(R) Processor\n"
+	if got := cpuModel(strings.NewReader(cpuinfo)); got != "Intel(R) Xeon(R) Processor" {
+		t.Fatalf("cpuModel = %q", got)
+	}
+	if got := cpuModel(strings.NewReader("processor\t: 0\nHardware\t: BCM2835\n")); got != "" {
+		t.Fatalf("cpuModel without a model name = %q, want empty", got)
 	}
 }
 

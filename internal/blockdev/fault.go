@@ -38,9 +38,17 @@ type FaultProfile struct {
 // The inner device is swapped atomically by Repair, and all mutable
 // fault state is mutex-guarded, so injection is safe against concurrent
 // I/O (covered by a -race test).
+//
+// With nothing armed the injector is a pass-through: quiet is true
+// exactly when there are no bad pages, no dead ranges, a zero
+// FaultProfile, no crash point, no crash and no recording. Every code
+// path that changes one of those recomputes quiet under mu (setQuiet),
+// and I/O that finds it set goes straight to the inner device after
+// step() without taking mu.
 type FaultInjector struct {
 	inner  atomic.Pointer[Device]
 	failed atomic.Bool
+	quiet  atomic.Bool
 
 	// FailAfterOps, if > 0, fails the device automatically after that many
 	// operations have been issued (for deterministic mid-workload faults).
@@ -52,10 +60,10 @@ type FaultInjector struct {
 	profile    FaultProfile
 	badPages   map[int64]int // lba -> remaining read failures; <0 = until rewritten
 	deadRanges []failRange   // fail-stopped page regions (FailRange)
-	crashed  bool
-	crashIn  int64 // write ops until the crash point (when armed > 0)
-	tornKeep int   // whole pages of the torn write to persist
-	tornByte int   // extra bytes of the following page to persist
+	crashed    bool
+	crashIn    int64 // write ops until the crash point (when armed > 0)
+	tornKeep   int   // whole pages of the torn write to persist
+	tornByte   int   // extra bytes of the following page to persist
 
 	// Op-trace recording for fault-site enumeration (faultsite.go).
 	recording bool
@@ -80,7 +88,15 @@ func NewFaultInjector(inner Device, seed uint64) *FaultInjector {
 		badPages: make(map[int64]int),
 	}
 	f.inner.Store(&inner)
+	f.quiet.Store(true)
 	return f
+}
+
+// setQuiet recomputes the pass-through flag from the armed fault state.
+// Callers hold f.mu.
+func (f *FaultInjector) setQuiet() {
+	f.quiet.Store(len(f.badPages) == 0 && len(f.deadRanges) == 0 &&
+		f.profile == (FaultProfile{}) && f.crashIn <= 0 && !f.crashed && !f.recording)
 }
 
 // Inner returns the wrapped device (swapped atomically by Repair).
@@ -103,6 +119,7 @@ func (f *FaultInjector) FailRange(start, count int64) {
 	}
 	f.mu.Lock()
 	f.deadRanges = append(f.deadRanges, failRange{start, start + count})
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -130,6 +147,7 @@ func (f *FaultInjector) Repair(fresh Device) {
 	f.mu.Lock()
 	f.badPages = make(map[int64]int)
 	f.deadRanges = nil
+	f.setQuiet()
 	f.mu.Unlock()
 	f.inner.Store(&fresh)
 	f.failed.Store(false)
@@ -143,6 +161,7 @@ func (f *FaultInjector) Failed() bool { return f.failed.Load() }
 func (f *FaultInjector) SetProfile(p FaultProfile) {
 	f.mu.Lock()
 	f.profile = p
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -151,6 +170,7 @@ func (f *FaultInjector) SetProfile(p FaultProfile) {
 func (f *FaultInjector) InjectBadPage(lba int64) {
 	f.mu.Lock()
 	f.badPages[lba] = -1
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -162,6 +182,7 @@ func (f *FaultInjector) InjectTransient(lba int64, fails int) {
 	}
 	f.mu.Lock()
 	f.badPages[lba] = fails
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -169,6 +190,7 @@ func (f *FaultInjector) InjectTransient(lba int64, fails int) {
 func (f *FaultInjector) ClearBadPage(lba int64) {
 	f.mu.Lock()
 	delete(f.badPages, lba)
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -196,6 +218,7 @@ func (f *FaultInjector) ArmCrash(afterWrites int64, tornPages, tornBytes int) {
 	f.crashIn = afterWrites + 1
 	f.tornKeep = tornPages
 	f.tornByte = tornBytes
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -205,6 +228,7 @@ func (f *FaultInjector) ClearCrash() {
 	f.mu.Lock()
 	f.crashed = false
 	f.crashIn = 0
+	f.setQuiet()
 	f.mu.Unlock()
 }
 
@@ -244,6 +268,7 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 		if left > 0 {
 			if left == 1 {
 				delete(f.badPages, lba+i)
+				f.setQuiet()
 			} else {
 				f.badPages[lba+i] = left - 1
 			}
@@ -258,6 +283,7 @@ func (f *FaultInjector) readFault(lba int64, count int) error {
 		l := f.rng.Float64()
 		if l < f.profile.LatentProb {
 			f.badPages[lba] = -1
+			f.setQuiet()
 			f.mediaErrs.Add(1)
 			return fmt.Errorf("%w: page %d (latent)", ErrMedia, lba)
 		}
@@ -283,6 +309,7 @@ func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 		f.crashIn--
 		if f.crashIn == 0 {
 			f.crashed = true
+			f.setQuiet()
 			keep := f.tornKeep
 			if keep > count {
 				keep = count
@@ -294,6 +321,7 @@ func (f *FaultInjector) writeFault(lba int64, count int) (int, int, error) {
 	for i := int64(0); i < int64(count); i++ {
 		delete(f.badPages, lba+i)
 	}
+	f.setQuiet()
 	return 0, 0, nil
 }
 
@@ -303,42 +331,55 @@ func (f *FaultInjector) Name() string { return f.Inner().Name() }
 // Pages implements Device.
 func (f *FaultInjector) Pages() int64 { return f.Inner().Pages() }
 
+// wrap attributes a non-nil error to this device as an IOError. The
+// name is looked up only on failure: the success path pays nothing.
+func (f *FaultInjector) wrap(op Op, lba int64, err error) error {
+	if err == nil {
+		return nil
+	}
+	return WrapIOError(f.Name(), op, lba, err)
+}
+
 // ReadPages implements Device. Injected and propagated errors are wrapped
 // in IOError so callers can attribute the failure to this device.
 func (f *FaultInjector) ReadPages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
+		return t, f.wrap(OpRead, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
-	}
-	f.record(false, lba, count)
-	if err := f.readFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpRead, lba, err)
+	if !f.quiet.Load() {
+		if err := f.rangeFault(lba, count); err != nil {
+			return t, f.wrap(OpRead, lba, err)
+		}
+		f.record(false, lba, count)
+		if err := f.readFault(lba, count); err != nil {
+			return t, f.wrap(OpRead, lba, err)
+		}
 	}
 	done, err := f.Inner().ReadPages(t, lba, count, buf)
-	return done, WrapIOError(f.Name(), OpRead, lba, err)
+	return done, f.wrap(OpRead, lba, err)
 }
 
 // WritePages implements Device. Injected and propagated errors are wrapped
 // in IOError so callers can attribute the failure to this device.
 func (f *FaultInjector) WritePages(t sim.Time, lba int64, count int, buf []byte) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpWrite, lba, err)
+		return t, f.wrap(OpWrite, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpWrite, lba, err)
+	if !f.quiet.Load() {
+		if err := f.rangeFault(lba, count); err != nil {
+			return t, f.wrap(OpWrite, lba, err)
+		}
+		f.record(true, lba, count)
+		torn, tornBytes, err := f.writeFault(lba, count)
+		if err != nil {
+			if torn > 0 || tornBytes > 0 {
+				f.tearWrite(t, lba, count, buf, torn, tornBytes)
+			}
+			return t, f.wrap(OpWrite, lba, err)
+		}
 	}
-	f.record(true, lba, count)
-	torn, tornBytes, err := f.writeFault(lba, count)
-	if err == nil {
-		done, werr := f.Inner().WritePages(t, lba, count, buf)
-		return done, WrapIOError(f.Name(), OpWrite, lba, werr)
-	}
-	if torn > 0 || tornBytes > 0 {
-		f.tearWrite(t, lba, count, buf, torn, tornBytes)
-	}
-	return t, WrapIOError(f.Name(), OpWrite, lba, err)
+	done, err := f.Inner().WritePages(t, lba, count, buf)
+	return done, f.wrap(OpWrite, lba, err)
 }
 
 // tearWrite persists the prefix of a crashed write: torn whole pages and
@@ -364,22 +405,21 @@ func (f *FaultInjector) tearWrite(t sim.Time, lba int64, count int, buf []byte, 
 // TrimPages implements Trimmer when the inner device does.
 func (f *FaultInjector) TrimPages(t sim.Time, lba int64, count int) (sim.Time, error) {
 	if err := f.step(); err != nil {
-		return t, WrapIOError(f.Name(), OpTrim, lba, err)
+		return t, f.wrap(OpTrim, lba, err)
 	}
-	if err := f.rangeFault(lba, count); err != nil {
-		return t, WrapIOError(f.Name(), OpTrim, lba, err)
-	}
-	f.mu.Lock()
-	crashed := f.crashed
-	f.mu.Unlock()
-	if crashed {
-		// Power is off: a trim past the crash point must not reach the
-		// medium, or "durable" state would mutate after the power loss.
-		return t, WrapIOError(f.Name(), OpTrim, lba, ErrCrashed)
+	if !f.quiet.Load() {
+		if err := f.rangeFault(lba, count); err != nil {
+			return t, f.wrap(OpTrim, lba, err)
+		}
+		if f.Crashed() {
+			// Power is off: a trim past the crash point must not reach the
+			// medium, or "durable" state would mutate after the power loss.
+			return t, f.wrap(OpTrim, lba, ErrCrashed)
+		}
 	}
 	if tr, ok := f.Inner().(Trimmer); ok {
 		done, err := tr.TrimPages(t, lba, count)
-		return done, WrapIOError(f.Name(), OpTrim, lba, err)
+		return done, f.wrap(OpTrim, lba, err)
 	}
 	return t, nil
 }

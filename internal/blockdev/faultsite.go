@@ -105,6 +105,7 @@ func (f *FaultInjector) RecordOps(on bool) {
 	if on {
 		f.recorded = nil
 	}
+	f.setQuiet()
 	f.mu.Unlock()
 }
 

@@ -16,6 +16,7 @@ package hdd
 
 import (
 	"fmt"
+	"math"
 
 	"kddcache/internal/blockdev"
 	"kddcache/internal/obs"
@@ -123,6 +124,13 @@ func (d *Disk) BusyTime() sim.Time { return d.q.BusyTime() }
 // Store exposes the backing store (nil in timing mode).
 func (d *Disk) Store() *blockdev.MemStore { return d.store }
 
+// seekGuard is how far, in nanoseconds, span*√frac must sit from an
+// integer for math.Sqrt to truncate to the same nanosecond as the Newton
+// sqrt below. The two agree to within 1 ulp, and 1 ulp of any seek span
+// under 2^24 ns is below 2e-9 ns, so the margin is exact with room to
+// spare; closer to an integer the last ulp can flip the truncation.
+const seekGuard = 1e-6
+
 // seekTime returns the seek latency for moving the head `dist` pages.
 func (d *Disk) seekTime(dist int64) sim.Time {
 	if dist < 0 {
@@ -137,11 +145,18 @@ func (d *Disk) seekTime(dist int64) sim.Time {
 		frac = 1
 	}
 	span := float64(d.cfg.FullStroke - d.cfg.TrackToTrack)
+	v := span * math.Sqrt(frac)
+	if f := v - float64(int64(v)); f > seekGuard && f < 1-seekGuard {
+		return d.cfg.TrackToTrack + sim.Time(v)
+	}
+	// Within the guard band the last ulp decides the nanosecond, so take
+	// the Newton root the curve is defined by.
 	return d.cfg.TrackToTrack + sim.Time(span*sqrt(frac))
 }
 
-// sqrt avoids importing math for a single call site; Newton's method is
-// plenty for latency modelling and keeps the package dependency-light.
+// sqrt is the seek curve's reference square root: Newton's method from
+// z = x, 24 iterations. seekTime uses it only in the guard band, where
+// the last ulp of math.Sqrt could truncate to a different nanosecond.
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0

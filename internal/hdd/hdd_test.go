@@ -147,6 +147,70 @@ func TestSqrtHelper(t *testing.T) {
 	}
 }
 
+// refSeek is the seek curve as the model defines it: the Newton root,
+// truncated to the nanosecond.
+func refSeek(cfg Config, dist int64) sim.Time {
+	frac := float64(dist) / float64(cfg.Pages)
+	if frac > 1 {
+		frac = 1
+	}
+	span := float64(cfg.FullStroke - cfg.TrackToTrack)
+	return cfg.TrackToTrack + sim.Time(span*sqrt(frac))
+}
+
+// TestSeekTimeMatchesNewtonExhaustive checks the math.Sqrt fast path
+// against the Newton reference at every distance of every member size
+// the harness and benchmark build, so the guard band is shown to catch
+// every point where the two roots truncate differently.
+func TestSeekTimeMatchesNewtonExhaustive(t *testing.T) {
+	for _, pages := range []int64{4608, 4096, 20000, 300000, 1 << 20} {
+		cfg := DefaultConfig(pages)
+		d := New("hdd", cfg, 1)
+		fallbacks := 0
+		for dist := int64(1); dist <= pages; dist++ {
+			want := refSeek(cfg, dist)
+			if got := d.seekTime(dist); got != want {
+				t.Fatalf("pages=%d dist=%d: seekTime = %d, Newton reference = %d", pages, dist, got, want)
+			}
+			span := float64(cfg.FullStroke - cfg.TrackToTrack)
+			v := span * math.Sqrt(float64(dist)/float64(pages))
+			if f := v - math.Floor(v); f <= seekGuard || f >= 1-seekGuard {
+				fallbacks++
+			}
+		}
+		t.Logf("pages=%d: %d of %d distances in the guard band", pages, fallbacks, pages)
+	}
+}
+
+// TestSeekTimeGuardPoint pins a distance the tenants-lsraid workload
+// reaches where math.Sqrt alone lands one nanosecond off the Newton
+// curve: the guard band is what keeps it on the model.
+func TestSeekTimeGuardPoint(t *testing.T) {
+	cfg := DefaultConfig(4608)
+	const dist = 800
+	span := float64(cfg.FullStroke - cfg.TrackToTrack)
+	naive := cfg.TrackToTrack + sim.Time(span*math.Sqrt(float64(dist)/float64(cfg.Pages)))
+	want := refSeek(cfg, dist)
+	if naive == want {
+		t.Fatalf("math.Sqrt agrees with Newton at pages=4608 dist=800 (%d); the pinned point no longer exercises the guard", want)
+	}
+	if got := New("hdd", cfg, 1).seekTime(dist); got != want {
+		t.Fatalf("seekTime(800) = %d, want Newton %d (math.Sqrt gives %d)", got, want, naive)
+	}
+}
+
+// seekSink keeps BenchmarkSeekTime's results live.
+var seekSink sim.Time
+
+func BenchmarkSeekTime(b *testing.B) {
+	d := New("hdd", DefaultConfig(4608), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seekSink += d.seekTime(int64(i%4608) + 1)
+	}
+}
+
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -23,10 +23,15 @@ type StagedDelta struct {
 // the newest version of delta for one DAZ page is maintained" (§III-C).
 // When enough delta bytes accumulate to fill a flash page, PackPage
 // drains the oldest deltas into one DEZ page image.
+//
+// Positions in the index are absolute: fifo[i] sits at base+i. PackPage
+// drains a prefix and advances base by its length, so the entries of the
+// deltas left behind stay valid and only the drained ones are deleted.
 type Staging struct {
 	capBytes int
-	fifo     []StagedDelta // arrival order, coalesced
-	index    map[int64]int // DazPage -> position in fifo (-1 = tombstone)
+	fifo     []StagedDelta // arrival order, coalesced; DazPage -1 = tombstone
+	index    map[int64]int // DazPage -> base + position in fifo
+	base     int           // absolute position of fifo[0]
 	bytes    int
 
 	// Statistics.
@@ -56,33 +61,35 @@ func (s *Staging) Full() bool { return s.bytes >= s.capBytes }
 // Put stages a delta for the given DAZ page, replacing any older staged
 // delta for the same page (write coalescing).
 func (s *Staging) Put(d StagedDelta) {
-	if pos, ok := s.index[d.DazPage]; ok {
+	if abs, ok := s.index[d.DazPage]; ok {
+		pos := abs - s.base
 		s.bytes -= s.fifo[pos].D.Len
 		s.fifo[pos] = d
 		s.bytes += d.D.Len
 		s.Coalesced++
 		return
 	}
-	s.index[d.DazPage] = len(s.fifo)
+	s.index[d.DazPage] = s.base + len(s.fifo)
 	s.fifo = append(s.fifo, d)
 	s.bytes += d.D.Len
 }
 
 // Get returns the staged delta for a DAZ page, if any.
 func (s *Staging) Get(dazPage int64) (StagedDelta, bool) {
-	pos, ok := s.index[dazPage]
+	abs, ok := s.index[dazPage]
 	if !ok {
 		return StagedDelta{}, false
 	}
-	return s.fifo[pos], true
+	return s.fifo[abs-s.base], true
 }
 
 // Drop removes a staged delta (the DAZ page was reclaimed or superseded).
 func (s *Staging) Drop(dazPage int64) {
-	pos, ok := s.index[dazPage]
+	abs, ok := s.index[dazPage]
 	if !ok {
 		return
 	}
+	pos := abs - s.base
 	s.bytes -= s.fifo[pos].D.Len
 	s.fifo[pos].DazPage = -1 // tombstone; compacted on PackPage
 	delete(s.index, dazPage)
@@ -109,16 +116,10 @@ func (s *Staging) PackPage() []StagedDelta {
 		delete(s.index, d.DazPage)
 		s.bytes -= d.D.Len
 	}
-	// Compact the consumed prefix and rebuild positions.
+	// Compact the consumed prefix; the survivors' absolute positions
+	// stay put because base moves with them.
 	s.fifo = append(s.fifo[:0], s.fifo[i:]...)
-	for p := range s.index {
-		delete(s.index, p)
-	}
-	for pos, d := range s.fifo {
-		if d.DazPage >= 0 {
-			s.index[d.DazPage] = pos
-		}
-	}
+	s.base += i
 	return out
 }
 
